@@ -7,10 +7,11 @@ This script walks through the catalog, checks the band, round-trips every
 mean, and shows the midpoint deformation M^{t}.
 """
 
-import numpy as np
+import math
 
 from meanlab import (
     CATALOG,
+    GridSpec,
     MEAN_IDS,
     deform_mean,
     eval_mean,
@@ -41,13 +42,13 @@ print("  f descending:    ", " <= ".join(by_f))
 
 print()
 print("band check: z/(1+z) <= f_M(z) <= z/(1-z) on a probe grid")
-zs = np.linspace(0.01, 0.99, 99)
+zs = GridSpec(0.01, 0.99, 99).points()
 worst = 1.0
 for mean_id in MEAN_IDS:
     f = seiffert_of_mean(mean_id)
     for zi in zs:
-        lower, upper = seiffert_bounds(float(zi))
-        value = f(float(zi))
+        lower, upper = seiffert_bounds(zi)
+        value = f(zi)
         worst = min(worst, value - lower, upper - value)
 print(f"  smallest distance to a band edge over the whole catalog: {worst:.3e}")
 
@@ -56,8 +57,8 @@ print("round-trip mean -> Seiffert function -> mean:")
 worst = 0.0
 for mean_id in MEAN_IDS:
     rebuilt = mean_of_seiffert(seiffert_of_mean(mean_id))
-    for zi in np.geomspace(1e-4, 0.99, 50):
-        a, b = 1.0 - float(zi), 1.0 + float(zi)
+    for zi in GridSpec(1e-4, 0.99, 50, "log").points():
+        a, b = 1.0 - zi, 1.0 + zi
         ref = eval_mean(mean_id, a, b)
         worst = max(worst, abs(rebuilt(a, b) - ref) / ref)
 print(f"  max relative deviation over {len(MEAN_IDS)} means x 50 pairs: {worst:.3e}")
@@ -69,4 +70,4 @@ for t in (1.0, 0.75, 0.5, 0.25):
     c_t = deform_mean("C", t)(x, y)
     print(f"  t = {t:4.2f}:  G^t(1,3) = {g_t:.12f}   C^t(1,3) = {c_t:.12f}")
 print("  (t = 1/2 gives the closed forms sqrt(3A^2+G^2)/2 = "
-      f"{np.sqrt(3.75):.12f} and (5A^2-G^2)/(4A) = {17 / 8:.12f})")
+      f"{math.sqrt(3.75):.12f} and (5A^2-G^2)/(4A) = {17 / 8:.12f})")

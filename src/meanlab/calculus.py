@@ -17,10 +17,9 @@ one-panel value and the sum of the two half-panel values.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
@@ -36,8 +35,25 @@ __all__ = [
     "probe_shape",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+#: The 15-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs;
+#: the tests pin them bit for bit to leggauss(15).
+_GL_PAIRS = (
+    (-0.9879925180204854, 0.030753241996117203),
+    (-0.9372733924007058, 0.0703660474881084),
+    (-0.8482065834104272, 0.10715922046717141),
+    (-0.7244177313601701, 0.13957067792615444),
+    (-0.5709721726085388, 0.16626920581699398),
+    (-0.3941513470775634, 0.1861610000155622),
+    (-0.20119409399743451, 0.1984314853271116),
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.1984314853271116),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699398),
+    (0.7244177313601701, 0.13957067792615444),
+    (0.8482065834104272, 0.10715922046717141),
+    (0.9372733924007058, 0.0703660474881084),
+    (0.9879925180204854, 0.030753241996117203),
+)
 
 #: Below this abscissa the integrand of I is replaced by its limit value 1.
 I_OPERATOR_CUTOFF = 1e-14
@@ -83,10 +99,22 @@ class GridSpec:
         if self.spacing == "log" and self.start <= 0.0:
             raise DomainError("log spacing needs a positive start")
 
-    def points(self) -> np.ndarray:
+    def points(self) -> tuple[float, ...]:
+        """The grid as floats, by the usual linspace/geomspace formulas.
+
+        Uniform points are i * step + start; log points are 10 ** e over
+        the uniform grid of log10 endpoints.  Both endpoints are exact.
+        """
+        start, end = float(self.start), float(self.end)
         if self.spacing == "log":
-            return np.geomspace(self.start, self.end, self.count)
-        return np.linspace(self.start, self.end, self.count)
+            exponents = _uniform(math.log10(start), math.log10(end), self.count)
+            return (start, *(10.0 ** e for e in exponents[1:-1]), end)
+        return _uniform(start, end, self.count)
+
+
+def _uniform(start: float, end: float, count: int) -> tuple[float, ...]:
+    step = (end - start) / (count - 1)
+    return (*(i * step + start for i in range(count - 1)), end)
 
 
 @dataclass(frozen=True)
@@ -170,7 +198,7 @@ def i_envelope(z: float) -> tuple[float, float]:
     fz = float(z)
     if not 0.0 < fz < 1.0:
         raise DomainError(f"z must lie in (0, 1), got {z!r}")
-    return np.log1p(fz), -np.log1p(-fz)
+    return math.log1p(fz), -math.log1p(-fz)
 
 
 def derivative_estimate(g: Callable[[float], float], z: float,
@@ -189,7 +217,7 @@ def derivative_estimate(g: Callable[[float], float], z: float,
     elif h <= 0.0:
         raise DomainError("step h must be positive")
 
-    lo, hi = (-np.inf, np.inf) if domain is None else domain
+    lo, hi = (-math.inf, math.inf) if domain is None else domain
     if not lo < fz <= hi:
         raise DomainError(f"point {z!r} outside domain ({lo}, {hi}]")
 
@@ -216,11 +244,11 @@ def probe_shape(fn: Callable[[float], float], grid: GridSpec,
     proof: "convex" means no violation was found at this resolution.
     """
     xs = grid.points()
-    values = [fn(float(x)) for x in xs]
+    values = [fn(x) for x in xs]
     convex_break: tuple[float, float, float] | None = None
     concave_break: tuple[float, float, float] | None = None
     for i in range(len(xs) - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
+        a, b = xs[i], xs[i + 1]
         mid = 0.5 * (a + b)
         fmid = fn(mid)
         chord = 0.5 * (values[i] + values[i + 1])

@@ -184,7 +184,7 @@ def _cmd_seiffert(args) -> int:
         print(_fmt(f(args.z)))
         return 0
     for z in _parse_zgrid(args.zgrid).points():
-        print(f"{_fmt(float(z))} {_fmt(f(float(z)))}")
+        print(f"{_fmt(z)} {_fmt(f(z))}")
     return 0
 
 
@@ -211,7 +211,7 @@ def _cmd_harmonic_check(args) -> int:
 def _cmd_harmonic_construct(args) -> int:
     candidate = construct_candidate(seiffert_of_mean(args.mean))
     for z in _parse_zgrid(args.zgrid).points():
-        print(f"{_fmt(float(z))} {_fmt(candidate(float(z)))}")
+        print(f"{_fmt(z)} {_fmt(candidate(z))}")
     return 0
 
 

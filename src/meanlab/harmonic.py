@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .calculus import (
     DEFAULT_QUADRATURE,
     GridSpec,
@@ -152,12 +150,11 @@ def check_representable(m: SeiffertFunction,
     witness = None
     try:
         for z in grid.points():
-            fz = float(z)
-            dv = d(fz)
-            dist = min(dv - 1.0 / (1.0 + fz), 1.0 / (1.0 - fz) - dv)
+            dv = d(z)
+            dist = min(dv - 1.0 / (1.0 + z), 1.0 / (1.0 - z) - dv)
             if dist < worst:
                 worst = dist
-                witness = fz
+                witness = z
     except (ArithmeticError, NonConvergenceError, ValueError) as exc:
         return RepresentationVerdict("inconclusive", None, math.nan, grid,
                                      note=f"derivative evaluation failed: {exc}")
@@ -308,8 +305,8 @@ def default_pairs(count: int = 20, z_min: float = 0.01,
     z of about 0.93 (it admits no representation, so nothing guarantees
     the bounds there).
     """
-    zs = np.geomspace(z_min, z_max, count)
-    return [(1.0 - float(z), 1.0 + float(z)) for z in zs]
+    zs = GridSpec(z_min, z_max, count, "log").points()
+    return [(1.0 - z, 1.0 + z) for z in zs]
 
 
 def make_envelope_gap_example() -> SeiffertFunction:

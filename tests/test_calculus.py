@@ -19,7 +19,15 @@ from meanlab import (
     probe_shape,
     seiffert_of_mean,
 )
+from meanlab.calculus import _GL_PAIRS
 from meanlab.means import SEIFFERT_SHAPE
+
+#: Uniform grids the package samples, plus edge shapes.
+UNIFORM_GRIDS = [(0.0005, 0.9995, 1000), (0.01, 0.99, 99), (0.001, 0.999, 500),
+                 (0.01, 0.99, 41), (0.05, 0.95, 19), (0.0, 1.0, 2), (-3.7, 12.25, 37)]
+#: Log grids the package samples, plus a wide and a two-point one.
+LOG_GRIDS = [(1e-4, 0.99, 50), (0.01, 0.9, 20), (1e-4, 0.999, 100), (1e-3, 0.9, 51),
+             (1e-12, 1e6, 73), (0.5, 2.0, 2)]
 
 
 class TestIntegrate:
@@ -70,6 +78,10 @@ class TestIntegrate:
         assert err.value.best is not None
         assert err.value.error_bound > 0.0
 
+    def test_gauss_legendre_pairs_match_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert _GL_PAIRS == tuple(zip(nodes.tolist(), weights.tolist()))
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tolerance=0.0)
@@ -103,6 +115,9 @@ class TestIOperator:
             value = apply_i_operator(f, z)
             assert low - 2e-11 <= value <= high + 2e-11
         assert abs(apply_i_operator(f, 1e-6)) <= 2e-6
+
+    def test_envelope_returns_floats(self):
+        assert all(type(v) is float for v in i_envelope(0.5))
 
     def test_monotone_in_integrand(self):
         # z/(1+z^2) <= z <= z/(1-z^2) pointwise, so the I values are ordered
@@ -187,6 +202,22 @@ class TestProbeShape:
     def test_log_spacing(self):
         verdict = probe_shape(lambda u: u * u, GridSpec(1e-3, 0.9, 51, "log"))
         assert verdict.classification == "convex"
+
+    @pytest.mark.parametrize("start, end, count", UNIFORM_GRIDS)
+    def test_uniform_points_match_linspace(self, start, end, count):
+        points = GridSpec(start, end, count).points()
+        assert all(type(p) is float for p in points)
+        assert points == tuple(np.linspace(start, end, count).tolist())
+
+    @pytest.mark.parametrize("start, end, count", LOG_GRIDS)
+    def test_log_points_within_one_ulp_of_geomspace(self, start, end, count):
+        points = GridSpec(start, end, count, "log").points()
+        assert all(type(p) is float for p in points)
+        reference = np.geomspace(start, end, count).tolist()
+        assert len(points) == count
+        assert points[0] == start and points[-1] == end
+        for p, r in zip(points, reference):
+            assert abs(p - r) <= math.ulp(r)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

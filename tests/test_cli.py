@@ -1,10 +1,14 @@
 """End-to-end CLI behaviour through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, env=None):
@@ -163,3 +167,10 @@ class TestSuiteCommand:
                          "--out", "/no-such-dir/report.csv")
         assert result.returncode == 2
         assert "cannot write" in result.stderr
+
+
+def test_cli_imports_without_numpy():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import meanlab, meanlab.cli, sys; assert 'numpy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr

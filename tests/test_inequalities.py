@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from meanlab import (
@@ -199,6 +200,22 @@ class TestChainSuite:
         assert all(x > 0 and y > 0 for x, y in pairs)
         # deterministic: same seed, same grid
         assert pairs == default_pair_grid()
+
+    @pytest.mark.parametrize("count, z_min, z_max", [(100, 1e-4, 0.999), (30, 1e-3, 0.5)])
+    def test_rescaled_pairs_match_seeded_generator(self, count, z_min, z_max):
+        rng = np.random.default_rng(24036)
+        expected = []
+        for _ in range(10):
+            z = math.exp(rng.uniform(math.log(z_min), math.log(z_max)))
+            scale = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            expected.append((scale * (1.0 - z), scale * (1.0 + z)))
+        assert default_pair_grid(count, z_min, z_max)[count:] == expected
+
+    def test_rescalings_bounded_by_frozen_draws(self):
+        assert len(default_pair_grid(5, rescalings=10)) == 15
+        for bad in (11, -1):
+            with pytest.raises(DomainError):
+                default_pair_grid(5, rescalings=bad)
 
 
 class TestGenericSandwich:
