@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -71,18 +72,20 @@ def _parse_pairs(spec: str) -> list[tuple[float, float]] | None:
 
 
 def _default_tol(flag_value: float | None, fallback: float) -> float:
-    if flag_value is not None:
-        return flag_value
+    """--tol, else MEANLAB_TOL, else the fallback; either source must be finite and > 0."""
     env = os.environ.get("MEANLAB_TOL")
-    if env:
+    if flag_value is not None:
+        value, source = flag_value, "--tol"
+    elif env:
         try:
-            value = float(env)
+            value, source = float(env), "MEANLAB_TOL"
         except ValueError:
             raise MeanLabError(f"MEANLAB_TOL={env!r} is not a number") from None
-        if value <= 0:
-            raise MeanLabError("MEANLAB_TOL must be positive")
-        return value
-    return fallback
+    else:
+        return fallback
+    if not (math.isfinite(value) and value > 0):
+        raise MeanLabError(f"{source} must be finite and positive, got {value!r}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,18 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"one of: {', '.join(MEAN_IDS)}")
     p_eval.add_argument("x", type=float)
     p_eval.add_argument("y", type=float)
+    p_eval.set_defaults(handler=_cmd_eval)
 
     p_seif = sub.add_parser("seiffert", help="evaluate the Seiffert function of a mean")
     p_seif.add_argument("--mean", required=True, metavar="ID")
     group = p_seif.add_mutually_exclusive_group(required=True)
     group.add_argument("--z", type=float, help="single abscissa in (0, 1)")
     group.add_argument("--zgrid", metavar="S:E:C[:log]", help="print 'z f(z)' lines")
+    p_seif.set_defaults(handler=_cmd_seiffert)
 
     p_def = sub.add_parser("deform", help="evaluate the t-deformation of a mean")
     p_def.add_argument("--mean", required=True, metavar="ID")
     p_def.add_argument("--t", type=float, required=True, help="parameter in (0, 1]")
     p_def.add_argument("x", type=float)
     p_def.add_argument("y", type=float)
+    p_def.set_defaults(handler=_cmd_deform)
 
     p_harm = sub.add_parser("harmonic", help="harmonic-representation operations")
     harm_sub = p_harm.add_subparsers(dest="harmonic_command", required=True)
@@ -132,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = harm_sub.add_parser("check", help="probe the representability criterion")
     p_check.add_argument("--mean", required=True, metavar="ID")
     p_check.add_argument("--zgrid", metavar="S:E:C[:log]")
+    p_check.set_defaults(handler=_cmd_harmonic_check)
     _add_report_flags(p_check)
 
     p_con = harm_sub.add_parser("construct", help="print the candidate representer "
                                                   "Seiffert function z m'(z)")
     p_con.add_argument("--mean", required=True, metavar="ID")
     p_con.add_argument("--zgrid", metavar="S:E:C[:log]", default=_DEFAULT_GRID)
+    p_con.set_defaults(handler=_cmd_harmonic_construct)
 
     p_ver = harm_sub.add_parser("verify", help="verify the defining integral identity")
     p_ver.add_argument("--mean", required=True, metavar="ID", help="represented mean")
@@ -145,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="candidate representer mean")
     p_ver.add_argument("--pairs", default="default", metavar="default|FILE.csv")
     p_ver.add_argument("--tol", type=float, default=None)
+    p_ver.set_defaults(handler=_cmd_harmonic_verify)
     _add_report_flags(p_ver)
 
     p_ineq = sub.add_parser("ineq", help="inequality chain verification")
@@ -154,11 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"one of: {', '.join(CHAIN_NAMES)}")
     p_run.add_argument("--pairs", default="default", metavar="default|FILE.csv")
     p_run.add_argument("--tol", type=float, default=None)
+    p_run.set_defaults(handler=_cmd_ineq_run)
     _add_report_flags(p_run)
 
     p_suite = sub.add_parser("suite", help="run the full reproduction suite")
     p_suite.add_argument("--all", action="store_true",
                          help="run every check (required)")
+    p_suite.set_defaults(handler=_cmd_suite)
     _add_report_flags(p_suite)
 
     return parser
@@ -241,8 +252,8 @@ def _cmd_ineq_run(args) -> int:
                            detail=labels)]
     records.extend(
         CheckRecord(check=f"ineq-{report.name}", name=f"point-{i:03d}",
-                    passed=min(p.margins) >= -tol, x=p.x, y=p.y, z=p.z,
-                    margin=min(p.margins))
+                    passed=p.worst_margin >= -tol, x=p.x, y=p.y, z=p.z,
+                    margin=p.worst_margin)
         for i, p in enumerate(report.points)
     )
     for x, y, reason in report.skipped:
@@ -252,7 +263,7 @@ def _cmd_ineq_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    if not getattr(args, "all", False):
+    if not args.all:
         raise MeanLabError("nothing selected; pass --all to run the suite")
     return _emit_report(run_full_suite(), args.format, args.out)
 
@@ -261,23 +272,8 @@ def run_command(argv: list[str]) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "seiffert": _cmd_seiffert,
-        "deform": _cmd_deform,
-        "suite": _cmd_suite,
-    }
     try:
-        if args.command == "harmonic":
-            sub_handlers = {
-                "check": _cmd_harmonic_check,
-                "construct": _cmd_harmonic_construct,
-                "verify": _cmd_harmonic_verify,
-            }
-            return sub_handlers[args.harmonic_command](args)
-        if args.command == "ineq":
-            return _cmd_ineq_run(args)
-        return handlers[args.command](args)
+        return args.handler(args)
     except MeanLabError as exc:
         print(f"meanlab: error: {exc}", file=sys.stderr)
         return 2

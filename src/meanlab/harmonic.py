@@ -27,6 +27,7 @@ was found on the probed grid at the stated tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .calculus import (
@@ -115,17 +116,20 @@ PAIR_CATALOG: tuple[PairCatalogEntry, ...] = (
 NON_REPRESENTABLE_IDS: tuple[str, ...] = ("TANH", "G")
 
 
+def _derivative_of(m: SeiffertFunction) -> Callable[[float], float]:
+    """m's closed-form derivative, else its finite-difference estimate on (0, 1)."""
+    if m.derivative is not None:
+        return m.derivative
+    return lambda z: derivative_estimate(m, z, domain=(0.0, 1.0))
+
+
 def construct_candidate(m: SeiffertFunction) -> SeiffertFunction:
     """The candidate representer Seiffert function n(z) = z m'(z).
 
-    Prefers a registered closed-form derivative; otherwise falls back to
-    the finite-difference estimate on (0, 1).
+    Prefers a closed-form derivative; otherwise falls back to the
+    finite-difference estimate on (0, 1).
     """
-    if m.derivative is not None:
-        d = m.derivative
-    else:
-        def d(z: float) -> float:
-            return derivative_estimate(m, z, domain=(0.0, 1.0))
+    d = _derivative_of(m)
 
     def func(z: float) -> float:
         return z * d(z)
@@ -140,12 +144,7 @@ def check_representable(m: SeiffertFunction,
     Falsified verdicts carry the witness z of the worst violation; a
     passing verdict is explicitly grid-scoped.
     """
-    if m.derivative is not None:
-        d = m.derivative
-    else:
-        def d(z: float) -> float:
-            return derivative_estimate(m, z, domain=(0.0, 1.0))
-
+    d = _derivative_of(m)
     worst = math.inf
     witness = None
     try:

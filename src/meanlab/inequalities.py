@@ -79,6 +79,11 @@ class ChainPointRecord:
     values: tuple[float, ...]
     margins: tuple[float, ...]  # adjacent differences relative to A(x, y)
 
+    @property
+    def worst_margin(self) -> float:
+        """The smallest margin, or NaN if any margin is NaN."""
+        return math.nan if any(map(math.isnan, self.margins)) else min(self.margins)
+
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -194,7 +199,8 @@ def run_chain_suite(spec: ChainSpec,
     """Evaluate every chain term on a pair grid and report margins.
 
     A term failure at a point records the point as skipped and flags it in
-    the report instead of aborting the whole run.
+    the report instead of aborting the whole run.  A NaN margin counts as
+    the worst: it makes the minimum margin NaN and fails the chain.
     """
     if pairs is None:
         pairs = default_pair_grid()
@@ -210,12 +216,14 @@ def run_chain_suite(spec: ChainSpec,
             skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
             continue
         margins = tuple((values[i + 1] - values[i]) / a for i in range(len(values) - 1))
-        worst = min(margins)
-        if worst < min_margin:
+        record = ChainPointRecord(x, y, relative_half_spread(x, y), values, margins)
+        records.append(record)
+        worst = record.worst_margin
+        # a NaN replaces any number and is never replaced
+        if not worst >= min_margin and min_margin == min_margin:
             min_margin = worst
-            if worst < -tol:
+            if not worst >= -tol:
                 failing = (x, y)
-        records.append(ChainPointRecord(x, y, relative_half_spread(x, y), values, margins))
     passed = failing is None and not skipped
     return ChainReport(spec.name, tol, tuple(records), tuple(skipped),
                        min_margin, passed, failing)

@@ -40,7 +40,6 @@ __all__ = [
     "SeiffertFunction",
     "CATALOG",
     "MEAN_IDS",
-    "SEIFFERT_SHAPE",
     "get_mean",
     "eval_mean",
     "relative_half_spread",
@@ -59,12 +58,20 @@ class MeanDescriptor:
     The evaluator receives an ordered pair (lo, hi) with 0 < lo < hi;
     symmetry is guaranteed by canonical argument ordering and the equal
     case returns the common value exactly.
+
+    Catalog means also know their Seiffert function's shape on (0, 1)
+    ("affine", "convex" or "concave"; it drives the shape-preservation
+    checks of the operator I) and its closed-form derivative (it spares
+    the representability check finite-difference noise where the
+    derivative touches its band).  Both stay None for derived means.
     """
 
     id: str
     display: str
     evaluator: Callable[[float, float], float] = field(repr=False)
     note: str = ""
+    shape: str | None = None
+    derivative: Callable[[float], float] | None = field(default=None, repr=False)
 
     def __call__(self, x: float, y: float) -> float:
         lo, hi = check_pair(x, y)
@@ -169,38 +176,64 @@ def _scaled_arithmetic(shape: Callable[[float], float]) -> Callable[[float, floa
     return evaluator
 
 
+def _sec2(z: float) -> float:
+    c = math.cos(z)
+    return 1.0 / (c * c)
+
+
+def _sech2(z: float) -> float:
+    c = math.cosh(z)
+    return 1.0 / (c * c)
+
+
 CATALOG: dict[str, MeanDescriptor] = {}
 
 
-def _register(mean_id: str, display: str,
-              evaluator: Callable[[float, float], float], note: str = "") -> None:
-    CATALOG[mean_id] = MeanDescriptor(mean_id, display, evaluator, note)
+def _register(mean_id: str, display: str, evaluator: Callable[[float, float], float],
+              note: str, shape: str, derivative: Callable[[float], float]) -> None:
+    CATALOG[mean_id] = MeanDescriptor(mean_id, display, evaluator, note, shape, derivative)
 
 
-_register("A", "arithmetic mean", _arithmetic, "(x+y)/2")
-_register("G", "geometric mean", _geometric, "sqrt(xy)")
-_register("H", "harmonic mean", _harmonic, "2xy/(x+y)")
-_register("C", "contraharmonic mean", _contraharmonic, "(x^2+y^2)/(x+y)")
-_register("R", "root-mean-square", _root_mean_square, "sqrt((x^2+y^2)/2)")
-_register("L", "logarithmic mean", _logarithmic, "(x-y)/(log x - log y)")
-_register("P", "first Seiffert mean", _first_seiffert, "|x-y|/(2 arcsin z)")
-_register("T", "second Seiffert mean", _from_spread(math.atan), "|x-y|/(2 arctan z)")
-_register("NS", "Neuman-Sandor mean", _from_spread(math.asinh), "|x-y|/(2 arsinh z)")
+# id, display, evaluator, note, Seiffert shape, Seiffert derivative
+_register("A", "arithmetic mean", _arithmetic, "(x+y)/2", "affine", lambda z: 1.0)
+_register("G", "geometric mean", _geometric, "sqrt(xy)", "convex",
+          lambda z: (1.0 - z * z) ** -1.5)
+_register("H", "harmonic mean", _harmonic, "2xy/(x+y)", "convex",
+          lambda z: (1.0 + z * z) / (1.0 - z * z) ** 2)
+_register("C", "contraharmonic mean", _contraharmonic, "(x^2+y^2)/(x+y)", "concave",
+          lambda z: (1.0 - z * z) / (1.0 + z * z) ** 2)
+_register("R", "root-mean-square", _root_mean_square, "sqrt((x^2+y^2)/2)", "concave",
+          lambda z: (1.0 + z * z) ** -1.5)
+_register("L", "logarithmic mean", _logarithmic, "(x-y)/(log x - log y)", "convex",
+          lambda z: 1.0 / (1.0 - z * z))
+_register("P", "first Seiffert mean", _first_seiffert, "|x-y|/(2 arcsin z)", "convex",
+          lambda z: (1.0 - z * z) ** -0.5)
+_register("T", "second Seiffert mean", _from_spread(math.atan), "|x-y|/(2 arctan z)",
+          "concave", lambda z: 1.0 / (1.0 + z * z))
+_register("NS", "Neuman-Sandor mean", _from_spread(math.asinh), "|x-y|/(2 arsinh z)",
+          "concave", lambda z: (1.0 + z * z) ** -0.5)
 _register("AGM", "arithmetic-geometric mean", elliptic.agm,
-          "Gauss iteration limit; equals pi/(2 K(z)) on (1-z, 1+z)")
+          "Gauss iteration limit; equals pi/(2 K(z)) on (1-z, 1+z)", "convex",
+          lambda z: 2.0 / math.pi * elliptic.ellip_e(z) / ((1.0 - z) * (1.0 + z)))
 _register("V", "elliptic harmonic companion of AGM", elliptic.v_mean,
-          "pi H(x,y)/(2 E(z))")
-_register("SIN", "sine mean", _from_spread(math.sin), "|x-y|/(2 sin z)")
-_register("TAN", "tangent mean", _from_spread(math.tan), "|x-y|/(2 tan z)")
-_register("SINH", "hyperbolic sine mean", _from_spread(math.sinh), "|x-y|/(2 sinh z)")
+          "pi H(x,y)/(2 E(z))", "convex", elliptic.v_seiffert_prime)
+_register("SIN", "sine mean", _from_spread(math.sin), "|x-y|/(2 sin z)", "concave",
+          math.cos)
+_register("TAN", "tangent mean", _from_spread(math.tan), "|x-y|/(2 tan z)", "convex",
+          _sec2)
+_register("SINH", "hyperbolic sine mean", _from_spread(math.sinh), "|x-y|/(2 sinh z)",
+          "convex", math.cosh)
 _register("TANH", "hyperbolic tangent mean", _from_spread(math.tanh),
-          "|x-y|/(2 tanh z); a valid mean, but it has no harmonic representation")
+          "|x-y|/(2 tanh z); a valid mean, but it has no harmonic representation",
+          "concave", _sech2)
 _register("COSMEAN", "arithmetic over cosine", _scaled_arithmetic(lambda z: 1.0 / math.cos(z)),
-          "A(x,y)/cos z")
+          "A(x,y)/cos z", "concave", lambda z: math.cos(z) - z * math.sin(z))
 _register("COS2MEAN", "arithmetic times squared cosine",
-          _scaled_arithmetic(lambda z: math.cos(z) ** 2), "A(x,y) cos^2 z")
+          _scaled_arithmetic(lambda z: math.cos(z) ** 2), "A(x,y) cos^2 z", "convex",
+          lambda z: (math.cos(z) + 2.0 * z * math.sin(z)) / math.cos(z) ** 3)
 _register("COSHMEAN", "arithmetic over hyperbolic cosine",
-          _scaled_arithmetic(lambda z: 1.0 / math.cosh(z)), "A(x,y)/cosh z")
+          _scaled_arithmetic(lambda z: 1.0 / math.cosh(z)), "A(x,y)/cosh z", "convex",
+          lambda z: math.cosh(z) + z * math.sinh(z))
 
 MEAN_IDS: tuple[str, ...] = tuple(CATALOG)
 
@@ -224,78 +257,19 @@ def eval_mean(mean: str | MeanDescriptor, x: float, y: float) -> float:
 # Mean <-> Seiffert function correspondence.
 # --------------------------------------------------------------------------
 
-def _sec2(z: float) -> float:
-    c = math.cos(z)
-    return 1.0 / (c * c)
-
-
-def _sech2(z: float) -> float:
-    c = math.cosh(z)
-    return 1.0 / (c * c)
-
-
-# Closed-form derivatives of the catalog Seiffert functions; used by the
-# representability check to avoid finite-difference noise at points where
-# a derivative touches its bound.
-_SEIFFERT_DERIVATIVES: dict[str, Callable[[float], float]] = {
-    "A": lambda z: 1.0,
-    "G": lambda z: (1.0 - z * z) ** -1.5,
-    "H": lambda z: (1.0 + z * z) / (1.0 - z * z) ** 2,
-    "C": lambda z: (1.0 - z * z) / (1.0 + z * z) ** 2,
-    "R": lambda z: (1.0 + z * z) ** -1.5,
-    "L": lambda z: 1.0 / (1.0 - z * z),
-    "P": lambda z: (1.0 - z * z) ** -0.5,
-    "T": lambda z: 1.0 / (1.0 + z * z),
-    "NS": lambda z: (1.0 + z * z) ** -0.5,
-    "AGM": lambda z: 2.0 / math.pi * elliptic.ellip_e(z) / ((1.0 - z) * (1.0 + z)),
-    "V": elliptic.v_seiffert_prime,
-    "SIN": math.cos,
-    "TAN": _sec2,
-    "SINH": math.cosh,
-    "TANH": _sech2,
-    "COSMEAN": lambda z: math.cos(z) - z * math.sin(z),
-    "COS2MEAN": lambda z: (math.cos(z) + 2.0 * z * math.sin(z)) / math.cos(z) ** 3,
-    "COSHMEAN": lambda z: math.cosh(z) + z * math.sinh(z),
-}
-
-# Shape of each catalog Seiffert function on (0, 1); "affine" only for A.
-# Drives the convexity/concavity-preservation checks of the operator I.
-SEIFFERT_SHAPE: dict[str, str] = {
-    "A": "affine",
-    "G": "convex",
-    "H": "convex",
-    "C": "concave",
-    "R": "concave",
-    "L": "convex",
-    "P": "convex",
-    "T": "concave",
-    "NS": "concave",
-    "AGM": "convex",
-    "V": "convex",
-    "SIN": "concave",
-    "TAN": "convex",
-    "SINH": "convex",
-    "TANH": "concave",
-    "COSMEAN": "concave",
-    "COS2MEAN": "convex",
-    "COSHMEAN": "convex",
-}
-
-
 def seiffert_of_mean(mean: str | MeanDescriptor) -> SeiffertFunction:
     """The Seiffert function f(z) = z / M(1-z, 1+z) of a mean.
 
     Always evaluates through the mean itself (so e.g. the AGM entry
-    genuinely exercises the iteration); a closed-form derivative is
-    attached when the catalog knows one.
+    genuinely exercises the iteration); the descriptor's closed-form
+    derivative, if it has one, is attached.
     """
     desc = get_mean(mean)
 
     def func(z: float) -> float:
         return z / desc(1.0 - z, 1.0 + z)
 
-    return SeiffertFunction(func, _SEIFFERT_DERIVATIVES.get(desc.id),
-                            name=f"f[{desc.id}]")
+    return SeiffertFunction(func, desc.derivative, name=f"f[{desc.id}]")
 
 
 #: Slack (absolute, plus relative to the bound) allowed before a bound

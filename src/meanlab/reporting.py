@@ -2,7 +2,9 @@
 
 A report is deterministic apart from its timestamp: records are ordered
 by check name (then insertion order), floats are serialized with repr
-precision, and the summary counts are derived from the records.
+precision, and the summary counts are derived from the records.  JSON has
+no infinities or NaN, so the JSON report writes those as the strings the
+CSV cell holds ("inf", "-inf", "nan").
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -81,10 +84,10 @@ def to_json(doc: ReportDocument) -> str:
             {
                 "check": r.check,
                 "name": r.name,
-                "x": r.x,
-                "y": r.y,
-                "z": r.z,
-                "margin": r.margin,
+                "x": _json_number(r.x),
+                "y": _json_number(r.y),
+                "z": _json_number(r.z),
+                "margin": _json_number(r.margin),
                 "pass": r.passed,
                 "detail": r.detail,
             }
@@ -92,11 +95,15 @@ def to_json(doc: ReportDocument) -> str:
         ],
         "summary": doc.summary,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _cell(value: float | None) -> str:
     return "" if value is None else repr(value)
+
+
+def _json_number(value: float | None) -> float | str | None:
+    return value if value is None or math.isfinite(value) else _cell(value)
 
 
 def to_csv(doc: ReportDocument) -> str:

@@ -15,6 +15,7 @@ from . import elliptic
 from .calculus import (
     DEFAULT_QUADRATURE,
     GridSpec,
+    QuadratureConfig,
     apply_i_operator,
     derivative_estimate,
     probe_shape,
@@ -27,13 +28,7 @@ from .harmonic import (
     verify_identity,
 )
 from .inequalities import CHAIN_NAMES, builtin_chain, envelope_lemma, run_chain_suite
-from .means import (
-    MEAN_IDS,
-    SEIFFERT_SHAPE,
-    get_mean,
-    mean_of_seiffert,
-    seiffert_of_mean,
-)
+from .means import CATALOG, MEAN_IDS, get_mean, mean_of_seiffert, seiffert_of_mean
 from .reporting import CheckRecord
 
 __all__ = ["run_full_suite", "SUITE_CHECKS"]
@@ -52,13 +47,6 @@ _REF_SPOTS = {
 _SECH2_AT_1 = 0.41997434161402606  # 1/cosh(1)^2
 
 
-def _record(check: str, name: str, passed: bool, margin: float | None = None,
-            detail: str = "", x: float | None = None, y: float | None = None,
-            z: float | None = None) -> CheckRecord:
-    return CheckRecord(check=check, name=name, passed=passed, x=x, y=y, z=z,
-                       margin=margin, detail=detail)
-
-
 def _roundtrip_pairs(count: int = 50) -> list[tuple[float, float]]:
     return [(1.0 - z, 1.0 + z) for z in GridSpec(1e-4, 0.99, count, "log").points()]
 
@@ -74,9 +62,9 @@ def check_roundtrip(tol: float = 1e-12) -> list[CheckRecord]:
         for x, y in pairs:
             ref = original(x, y)
             worst = max(worst, abs(rebuilt(x, y) - ref) / ref)
-        records.append(_record("01-roundtrip", mean_id, worst <= tol,
-                               margin=tol - worst,
-                               detail=f"max relative deviation {worst:.3e}"))
+        records.append(CheckRecord("01-roundtrip", mean_id, worst <= tol,
+                                    margin=tol - worst,
+                                    detail=f"max relative deviation {worst:.3e}"))
     return records
 
 
@@ -87,7 +75,7 @@ def check_harmonic_identities(tol: float = 1e-9) -> list[CheckRecord]:
     for entry in PAIR_CATALOG:
         report = verify_identity(entry.represented, entry.representer,
                                  pairs, tol=tol)
-        records.append(_record(
+        records.append(CheckRecord(
             "02-harmonic-identities",
             f"{entry.represented}~{entry.representer}",
             report.passed, margin=tol - report.max_deviation,
@@ -103,7 +91,7 @@ def check_negative_results() -> list[CheckRecord]:
     w = tanh_verdict.witness_z
     lower_side = (w is not None
                   and math.cosh(w) ** -2 < 1.0 / (1.0 + w))
-    records.append(_record(
+    records.append(CheckRecord(
         "03-negative-results", "TANH-falsified",
         tanh_verdict.status == "falsified" and lower_side,
         margin=-(tanh_verdict.margin) if tanh_verdict.status == "falsified" else None,
@@ -111,7 +99,7 @@ def check_negative_results() -> list[CheckRecord]:
 
     est = derivative_estimate(math.tanh, 1.0, domain=(0.0, 1.0))
     dev = abs(est - _SECH2_AT_1)
-    records.append(_record(
+    records.append(CheckRecord(
         "03-negative-results", "TANH-derivative-at-1", dev <= 5e-5,
         margin=5e-5 - dev, z=1.0,
         detail=f"one-sided estimate {est:.10f} vs {_SECH2_AT_1:.10f}"))
@@ -120,7 +108,7 @@ def check_negative_results() -> list[CheckRecord]:
     gw = g_verdict.witness_z
     upper_side = (gw is not None
                   and (1.0 - gw * gw) ** -1.5 > 1.0 / (1.0 - gw))
-    records.append(_record(
+    records.append(CheckRecord(
         "03-negative-results", "G-falsified",
         g_verdict.status == "falsified" and upper_side,
         margin=-(g_verdict.margin) if g_verdict.status == "falsified" else None,
@@ -128,7 +116,7 @@ def check_negative_results() -> list[CheckRecord]:
 
     candidate = 0.9 * (1.0 - 0.81) ** -1.5  # z m'(z) for the G candidate at z=0.9
     bound = 0.9 / 0.1
-    records.append(_record(
+    records.append(CheckRecord(
         "03-negative-results", "G-candidate-at-0.9", candidate > bound,
         margin=candidate - bound, z=0.9,
         detail=f"candidate {candidate:.6f} exceeds band bound {bound:.1f}"))
@@ -142,16 +130,14 @@ def check_gauss_identity(tol: float = 1e-12) -> list[CheckRecord]:
         k_series = elliptic.ellip_k(z, method="series")
         product = elliptic.agm(1.0 - z, 1.0 + z) * (2.0 / math.pi) * k_series
         dev = abs(product - 1.0)
-        records.append(_record("04-gauss-identity", f"z={z:.2f}", dev <= tol,
-                               margin=tol - dev, z=z,
-                               detail=f"|product - 1| = {dev:.3e}"))
+        records.append(CheckRecord("04-gauss-identity", f"z={z:.2f}", dev <= tol,
+                                    margin=tol - dev, z=z,
+                                    detail=f"|product - 1| = {dev:.3e}"))
     return records
 
 
 def check_elliptic_cross_validation() -> list[CheckRecord]:
     """Three K routes agree pairwise; the K' formula matches differences."""
-    from .calculus import QuadratureConfig
-
     records = []
     tight = QuadratureConfig(abs_tolerance=1e-13, max_depth=60)
     tol = 1e-12
@@ -167,9 +153,9 @@ def check_elliptic_cross_validation() -> list[CheckRecord]:
         worst["series-vs-quadrature"] = max(worst["series-vs-quadrature"],
                                             abs(k_series - k_quad) / k_agm)
     for name, dev in worst.items():
-        records.append(_record("05-elliptic-cross-validation", f"K-{name}",
-                               dev <= tol, margin=tol - dev,
-                               detail=f"max relative deviation {dev:.3e} for z <= 0.9"))
+        records.append(CheckRecord("05-elliptic-cross-validation", f"K-{name}",
+                                    dev <= tol, margin=tol - dev,
+                                    detail=f"max relative deviation {dev:.3e} for z <= 0.9"))
 
     fd_tol = 1e-6
     for k in range(1, 10):
@@ -178,20 +164,20 @@ def check_elliptic_cross_validation() -> list[CheckRecord]:
         h = 1e-5
         fd = (elliptic.ellip_k(z + h) - elliptic.ellip_k(z - h)) / (2.0 * h)
         dev = abs(formula - fd) / abs(formula)
-        records.append(_record("05-elliptic-cross-validation",
-                               f"Kprime-fd-z={z:.1f}", dev <= fd_tol,
-                               margin=fd_tol - dev, z=z,
-                               detail=f"relative deviation {dev:.3e}"))
+        records.append(CheckRecord("05-elliptic-cross-validation",
+                                    f"Kprime-fd-z={z:.1f}", dev <= fd_tol,
+                                    margin=fd_tol - dev, z=z,
+                                    detail=f"relative deviation {dev:.3e}"))
     return records
 
 
 def check_coefficient_facts(max_m: int = 1000) -> list[CheckRecord]:
     """c_1 = 3/4; the exact ratio identity; c_m < 1 throughout."""
     records = []
-    records.append(_record("06-series-coefficients", "c1-exact",
-                           elliptic.agm_coefficient_exact(1) == Fraction(3, 4)
-                           and elliptic.agm_coefficient(1) == 0.75,
-                           detail="c_1 = 3/4"))
+    records.append(CheckRecord("06-series-coefficients", "c1-exact",
+                                elliptic.agm_coefficient_exact(1) == Fraction(3, 4)
+                                and elliptic.agm_coefficient(1) == 0.75,
+                                detail="c_1 = 3/4"))
 
     # Independent route: double factorials through ordinary factorials,
     # c_m = (2m+1) ((2m)! / (2^(2m) (m!)^2))^2, compared with the ratio
@@ -209,10 +195,10 @@ def check_coefficient_facts(max_m: int = 1000) -> list[CheckRecord]:
         if not c < 1:
             below_one = False
         c *= elliptic.agm_coefficient_ratio(m)
-    records.append(_record("06-series-coefficients", "ratio-identity", ok_ratio,
-                           detail="recurrence matches the double-factorial form"))
-    records.append(_record("06-series-coefficients", "cm-below-1", below_one,
-                           detail=f"c_m < 1 for all m <= {max_m} (exact rationals)"))
+    records.append(CheckRecord("06-series-coefficients", "ratio-identity", ok_ratio,
+                                detail="recurrence matches the double-factorial form"))
+    records.append(CheckRecord("06-series-coefficients", "cm-below-1", below_one,
+                                detail=f"c_m < 1 for all m <= {max_m} (exact rationals)"))
     return records
 
 
@@ -222,18 +208,18 @@ def check_inequality_chains() -> list[CheckRecord]:
     for name in CHAIN_NAMES:
         report = run_chain_suite(builtin_chain(name))
         strict = report.passed and report.min_margin > 0.0
-        records.append(_record("07-inequality-chains", name, strict,
-                               margin=report.min_margin,
-                               detail=f"min margin {report.min_margin:.3e} "
-                                      f"over {len(report.points)} pairs"))
+        records.append(CheckRecord("07-inequality-chains", name, strict,
+                                    margin=report.min_margin,
+                                    detail=f"min margin {report.min_margin:.3e} "
+                                           f"over {len(report.points)} pairs"))
     for name, ((x, y), expected) in _REF_SPOTS.items():
         spec = builtin_chain(name)
         values = [fn(x, y) for _, fn in spec.terms]
         dev = max(abs(v - e) / abs(e) for v, e in zip(values, expected))
-        records.append(_record("07-inequality-chains", f"{name}-spot-values",
-                               dev <= 5e-6, margin=5e-6 - dev, x=x, y=y,
-                               detail=f"max relative deviation {dev:.3e} "
-                                      f"against frozen references"))
+        records.append(CheckRecord("07-inequality-chains", f"{name}-spot-values",
+                                    dev <= 5e-6, margin=5e-6 - dev, x=x, y=y,
+                                    detail=f"max relative deviation {dev:.3e} "
+                                           f"against frozen references"))
     return records
 
 
@@ -254,12 +240,12 @@ def check_envelope_lemmas() -> list[CheckRecord]:
             coincide_dev = max(coincide_dev,
                                abs(upper - 2.0 * n(u / 2.0)),
                                abs(lower - 0.5 * (u + n(u))))
-        records.append(_record("08-envelope-lemmas", f"{kind}-strict-order",
-                               order_margin > 0.0, margin=order_margin,
-                               detail=f"min gap {order_margin:.3e} on 1000 points"))
-        records.append(_record("08-envelope-lemmas", f"{kind}-hh-coincidence",
-                               coincide_dev <= 1e-12, margin=1e-12 - coincide_dev,
-                               detail=f"max deviation {coincide_dev:.3e}"))
+        records.append(CheckRecord("08-envelope-lemmas", f"{kind}-strict-order",
+                                    order_margin > 0.0, margin=order_margin,
+                                    detail=f"min gap {order_margin:.3e} on 1000 points"))
+        records.append(CheckRecord("08-envelope-lemmas", f"{kind}-hh-coincidence",
+                                    coincide_dev <= 1e-12, margin=1e-12 - coincide_dev,
+                                    detail=f"max deviation {coincide_dev:.3e}"))
     return records
 
 
@@ -293,29 +279,29 @@ def check_operator_properties() -> list[CheckRecord]:
             worst_mono = min(worst_mono, gap)
             if gap < -slack:
                 mono_ok = False
-    records.append(_record("09-operator-properties", "I-monotone", mono_ok,
-                           margin=worst_mono,
-                           detail=f"{mono_pairs} ordered pairs, worst gap "
-                                  f"{worst_mono:.3e}"))
+    records.append(CheckRecord("09-operator-properties", "I-monotone", mono_ok,
+                                margin=worst_mono,
+                                detail=f"{mono_pairs} ordered pairs, worst gap "
+                                       f"{worst_mono:.3e}"))
 
     env_margin = math.inf
     for mean_id in MEAN_IDS:
         for z, value in zip(probe_zs, i_values[mean_id]):
             env_margin = min(env_margin,
                              value - math.log1p(z), -math.log1p(-z) - value)
-    records.append(_record("09-operator-properties", "I-envelope",
-                           env_margin > -slack, margin=env_margin,
-                           detail=f"worst envelope gap {env_margin:.3e}"))
+    records.append(CheckRecord("09-operator-properties", "I-envelope",
+                                env_margin > -slack, margin=env_margin,
+                                detail=f"worst envelope gap {env_margin:.3e}"))
 
     vanish_worst = max(abs(apply_i_operator(funcs[mean_id], 1e-6))
                        for mean_id in MEAN_IDS)
-    records.append(_record("09-operator-properties", "I-vanishes-at-0",
-                           vanish_worst <= 2e-6, margin=2e-6 - vanish_worst,
-                           detail=f"max |I(f)(1e-6)| = {vanish_worst:.3e}"))
+    records.append(CheckRecord("09-operator-properties", "I-vanishes-at-0",
+                                vanish_worst <= 2e-6, margin=2e-6 - vanish_worst,
+                                detail=f"max |I(f)(1e-6)| = {vanish_worst:.3e}"))
 
     probe_grid = GridSpec(0.01, 0.99, 41)
     for mean_id in MEAN_IDS:
-        shape = SEIFFERT_SHAPE[mean_id]
+        shape = CATALOG[mean_id].shape
         f = funcs[mean_id]
 
         def i_of_f(z: float, _f=f) -> float:
@@ -333,11 +319,11 @@ def check_operator_properties() -> list[CheckRecord]:
             shape_ok = abs(sandwich) <= slack  # I(f) = f = z up to quadrature
         else:
             shape_ok = verdict.classification == shape and sandwich > -slack
-        records.append(_record("09-operator-properties",
-                               f"shape-preserved-{mean_id}", shape_ok,
-                               margin=sandwich,
-                               detail=f"expected {shape}, probe says "
-                                      f"{verdict.classification}"))
+        records.append(CheckRecord("09-operator-properties",
+                                    f"shape-preserved-{mean_id}", shape_ok,
+                                    margin=sandwich,
+                                    detail=f"expected {shape}, probe says "
+                                           f"{verdict.classification}"))
     return records
 
 
@@ -345,15 +331,15 @@ def check_one_directional() -> list[CheckRecord]:
     """G satisfies the log envelope on the default grid yet is falsified."""
     records = []
     envelope = log_envelope_check("G", default_pairs(20))
-    records.append(_record("10-one-directional", "G-log-envelope-passes",
-                           envelope.passed, margin=envelope.min_margin,
-                           detail=f"min margin {envelope.min_margin:.3e} "
-                                  f"on 20 pairs"))
+    records.append(CheckRecord("10-one-directional", "G-log-envelope-passes",
+                                envelope.passed, margin=envelope.min_margin,
+                                detail=f"min margin {envelope.min_margin:.3e} "
+                                       f"on 20 pairs"))
     verdict = check_representable(seiffert_of_mean("G"))
-    records.append(_record("10-one-directional", "G-still-falsified",
-                           verdict.status == "falsified",
-                           margin=verdict.margin, z=verdict.witness_z,
-                           detail=f"status={verdict.status}"))
+    records.append(CheckRecord("10-one-directional", "G-still-falsified",
+                                verdict.status == "falsified",
+                                margin=verdict.margin, z=verdict.witness_z,
+                                detail=f"status={verdict.status}"))
     return records
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    CATALOG,
     MEAN_IDS,
     DomainError,
     GridSpec,
@@ -20,7 +21,6 @@ from meanlab import (
     seiffert_of_mean,
 )
 from meanlab.calculus import _GL_PAIRS
-from meanlab.means import SEIFFERT_SHAPE
 
 #: Uniform grids the package samples, plus edge shapes.
 UNIFORM_GRIDS = [(0.0005, 0.9995, 1000), (0.01, 0.99, 99), (0.001, 0.999, 500),
@@ -134,7 +134,7 @@ class TestIOperator:
     @pytest.mark.parametrize("mean_id", ["G", "H", "L", "C", "R", "SIN", "SINH"])
     def test_shape_preservation(self, mean_id):
         f = seiffert_of_mean(mean_id)
-        shape = SEIFFERT_SHAPE[mean_id]
+        shape = CATALOG[mean_id].shape
         verdict = probe_shape(lambda z: apply_i_operator(f, z), GridSpec(0.02, 0.98, 33))
         assert verdict.classification == shape
         for z in (0.2, 0.5, 0.8):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through real subprocesses."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +9,22 @@ from pathlib import Path
 
 import pytest
 
+from meanlab import builtin_chain, run_chain_suite
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, env=None):
     return subprocess.run([sys.executable, "-m", "meanlab", *args],
                           capture_output=True, text=True, env=env)
+
+
+def strict_json(text):
+    """Parse JSON, refusing the non-standard NaN/Infinity constants."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestEval:
@@ -123,6 +134,30 @@ class TestHarmonic:
                          env=env)
         assert result.returncode == 1  # unreachable tolerance: checks fail
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_flag_tolerance_must_be_finite_and_positive(self, value):
+        result = run_cli("harmonic", "verify", "--mean", "P", "--repr", "TANH",
+                         "--tol", value)
+        assert result.returncode == 2
+        assert "--tol must be finite and positive" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_env_tolerance_must_be_finite_and_positive(self, value):
+        env = dict(os.environ, MEANLAB_TOL=value)
+        result = run_cli("harmonic", "verify", "--mean", "P", "--repr", "TANH", env=env)
+        assert result.returncode == 2
+        assert "MEANLAB_TOL must be finite and positive" in result.stderr
+        assert result.stdout == ""
+
+    def test_inconclusive_check_writes_standard_json(self):
+        result = run_cli("harmonic", "check", "--mean", "TANH", "--zgrid", "0.5:1.5:5",
+                         "--format", "json")
+        assert result.returncode == 1
+        record = strict_json(result.stdout)["records"][0]
+        assert record["margin"] == "nan"
+        assert "status=inconclusive" in record["detail"]
+
     def test_env_tolerance_must_be_numeric(self):
         import os
 
@@ -142,6 +177,19 @@ class TestIneq:
         result = run_cli("ineq", "run", "--chain", "hh-X-Y")
         assert result.returncode == 2
         assert "unknown chain" in result.stderr
+
+    def test_point_verdict_follows_its_worst_margin(self, tmp_path):
+        pair = (1e200, 1e300)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,y\n1e200,1e300\n")
+        result = run_cli("ineq", "run", "--chain", "hh-AGM-V", "--pairs", str(pairs),
+                         "--format", "json")
+        records = strict_json(result.stdout)["records"]
+        point = next(r for r in records if r["name"] == "point-000")
+        worst = run_chain_suite(builtin_chain("hh-AGM-V"), [pair]).points[0].worst_margin
+        assert point["margin"] == (worst if math.isfinite(worst) else repr(worst))
+        assert point["pass"] == (worst >= -1e-10)
+        assert result.returncode == (0 if all(r["pass"] for r in records) else 1)
 
     def test_csv_output(self):
         result = run_cli("ineq", "run", "--chain", "hh-T-C", "--format", "csv")

@@ -13,6 +13,7 @@ from meanlab import (
     check_representable,
     construct_candidate,
     default_pairs,
+    get_mean,
     log_envelope_check,
     make_envelope_gap_example,
     mean_of_seiffert,
@@ -91,6 +92,17 @@ class TestCheckRepresentable:
         assert verdict.status == "inconclusive"
         assert verdict.witness_z is None
         assert "failed" in verdict.note
+
+    def test_relabelled_negative_case_stays_falsified(self):
+        # TANH's Seiffert function filed under the id "A"
+        relabelled = mean_of_seiffert(seiffert_of_mean("TANH"), mean_id="A")
+        assert check_representable(seiffert_of_mean(relabelled)).status == "falsified"
+
+    def test_relabelled_positive_case_stays_representable(self):
+        # the arithmetic mean filed under the id "G"
+        relabelled = MeanDescriptor("G", "g", get_mean("A").evaluator)
+        verdict = check_representable(seiffert_of_mean(relabelled))
+        assert verdict.status == "representable"
 
     def test_custom_grid_is_recorded(self):
         grid = GridSpec(0.1, 0.5, 11)

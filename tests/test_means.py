@@ -11,14 +11,17 @@ from meanlab import (
     CATALOG,
     MEAN_IDS,
     DomainError,
+    GridSpec,
     SeiffertBoundError,
     SeiffertFunction,
     UnknownMeanError,
     deform,
     deform_mean,
+    derivative_estimate,
     eval_mean,
     get_mean,
     mean_of_seiffert,
+    probe_shape,
     relative_half_spread,
     seiffert_bounds,
     seiffert_of_mean,
@@ -71,6 +74,38 @@ class TestEvalMean:
             expected = float((mpmath.mpf(y) - mpmath.mpf(x))
                              / (mpmath.log(mpmath.mpf(y)) - mpmath.log(mpmath.mpf(x))))
         assert eval_mean("L", x, y) == pytest.approx(expected, rel=1e-13)
+
+
+class TestCatalogRows:
+    """Each catalog row carries its Seiffert function's shape and derivative."""
+
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    def test_row_is_complete(self, mean_id):
+        desc = CATALOG[mean_id]
+        assert desc.shape in {"affine", "convex", "concave"}
+        assert callable(desc.derivative)
+
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    def test_derivative_matches_finite_differences(self, mean_id):
+        f = seiffert_of_mean(mean_id)
+        derivative = CATALOG[mean_id].derivative
+        for z in GridSpec(0.01, 0.98, 60).points():
+            assert derivative(z) == pytest.approx(derivative_estimate(f, z), rel=1e-7)
+
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    def test_shape_matches_midpoint_probe(self, mean_id):
+        shape = CATALOG[mean_id].shape
+        verdict = probe_shape(seiffert_of_mean(mean_id), GridSpec(0.01, 0.99, 41))
+        assert verdict.classification == ("convex" if shape == "affine" else shape)
+
+    def test_seiffert_function_takes_the_row_derivative(self):
+        assert seiffert_of_mean("TANH").derivative is CATALOG["TANH"].derivative
+
+    def test_derived_means_carry_no_row_facts(self):
+        derived = (deform_mean("G", 0.5), mean_of_seiffert(seiffert_of_mean("G"), mean_id="G"))
+        for desc in derived:
+            assert desc.shape is None and desc.derivative is None
+            assert seiffert_of_mean(desc).derivative is None
 
 
 class TestHalfSpread:

@@ -1,6 +1,7 @@
 """Report document assembly and rendering."""
 
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,17 @@ class TestRendering:
                           "z": 0.5, "margin": 1e-3, "pass": True, "detail": "d"}
         assert payload["summary"] == {"pass": 1, "fail": 0, "total": 1}
         assert payload["tool"] == "meanlab"
+
+    def test_json_writes_non_finite_floats_as_csv_cells(self):
+        doc = build_report([_rec(x=math.inf, y=3.0, z=-math.inf, margin=math.nan)])
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        record = json.loads(to_json(doc), parse_constant=reject)["records"][0]
+        assert (record["x"], record["y"], record["z"], record["margin"]) == (
+            "inf", 3.0, "-inf", "nan")
+        assert to_csv(doc).splitlines()[1] == "01-x,n,inf,3.0,-inf,nan,true"
 
     def test_csv_header_and_blanks(self):
         doc = build_report([_rec(margin=None)])
