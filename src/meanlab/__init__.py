@@ -9,9 +9,7 @@ the resulting Hermite-Hadamard-type inequality chains.
 """
 
 from .calculus import (
-    DEFAULT_QUADRATURE,
     GridSpec,
-    QuadratureConfig,
     ShapeVerdict,
     apply_i_operator,
     derivative_estimate,
@@ -20,7 +18,6 @@ from .calculus import (
     probe_shape,
 )
 from .elliptic import (
-    SeriesBudget,
     agm,
     agm_coefficient,
     agm_coefficient_exact,
@@ -89,11 +86,10 @@ __all__ = [
     "get_mean", "eval_mean", "relative_half_spread", "seiffert_bounds",
     "seiffert_of_mean", "mean_of_seiffert", "deform", "deform_mean",
     # calculus
-    "QuadratureConfig", "GridSpec", "ShapeVerdict", "DEFAULT_QUADRATURE",
-    "integrate", "apply_i_operator", "i_envelope", "derivative_estimate",
+    "GridSpec", "ShapeVerdict", "integrate", "apply_i_operator", "i_envelope", "derivative_estimate",
     "probe_shape",
     # elliptic
-    "SeriesBudget", "agm", "ellip_k", "ellip_e", "ellip_k_prime",
+    "agm", "ellip_k", "ellip_e", "ellip_k_prime",
     "agm_seiffert", "agm_seiffert_prime", "agm_coefficient",
     "agm_coefficient_exact", "agm_coefficient_ratio", "v_mean",
     # harmonic

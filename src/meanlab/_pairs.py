@@ -38,3 +38,10 @@ def half_spread(lo: float, hi: float) -> float:
     else:
         z = (hi - lo) / (hi + lo)
     return min(z, MAX_HALF_SPREAD)
+
+
+def pulled_pair(lo: float, hi: float, t: float) -> tuple[float, float]:
+    """The arguments (m - t d, m + t d) of the t-deformation at (lo, hi)."""
+    mid = 0.5 * (lo + hi)
+    shift = 0.5 * t * (hi - lo)
+    return mid - shift, mid + shift

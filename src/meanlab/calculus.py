@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "QuadratureConfig",
     "GridSpec",
     "ShapeVerdict",
-    "DEFAULT_QUADRATURE",
     "integrate",
     "apply_i_operator",
     "i_envelope",
@@ -59,21 +57,16 @@ _GL_PAIRS = (
 I_OPERATOR_CUTOFF = 1e-14
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Absolute tolerance and bisection depth for adaptive integration."""
+#: Default absolute tolerance of `integrate`, and the one `I` runs at.
+QUADRATURE_TOL = 1e-11
 
-    abs_tolerance: float = 1e-11
-    max_depth: int = 60
+#: Bisection levels below which an interval is given up.
+MAX_DEPTH = 60
 
-    def __post_init__(self) -> None:
-        if not self.abs_tolerance > 0.0:
-            raise DomainError("abs_tolerance must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+#: Panels one `integrate` call may evaluate (QUADPACK likewise caps its
+#: subintervals).  Depth alone does not bound the work: the tolerance halves
+#: per level, so below rounding noise every sibling keeps bisecting.
+MAX_PANELS = 10_000
 
 
 @dataclass(frozen=True)
@@ -141,45 +134,48 @@ def _panel(fn: Callable[[float], float], a: float, b: float) -> float:
     return half * total
 
 
-def _adapt(fn, a, b, whole, tol, depth):
+def _adapt(fn, a, b, whole, tol, depth, used):
     mid = 0.5 * (a + b)
     left = _panel(fn, a, mid)
     right = _panel(fn, mid, b)
+    used[0] += 2  # panels spent by this integrate call, shared down the recursion
     refined = left + right
     err = abs(refined - whole)
     if err <= tol:
         return refined
-    if depth <= 0:
+    if depth <= 0 or used[0] >= MAX_PANELS:
+        limit = "bisection depth" if depth <= 0 else f"{MAX_PANELS} panels"
         raise NonConvergenceError(
-            f"quadrature did not converge on [{a}, {b}] "
+            f"quadrature did not converge on [{a}, {b}] within {limit} "
             f"(best estimate {refined!r}, error bound {err!r})",
             best=refined,
             error_bound=err,
         )
     half_tol = 0.5 * tol
-    return (_adapt(fn, a, mid, left, half_tol, depth - 1)
-            + _adapt(fn, mid, b, right, half_tol, depth - 1))
+    return (_adapt(fn, a, mid, left, half_tol, depth - 1, used)
+            + _adapt(fn, mid, b, right, half_tol, depth - 1, used))
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float,
-              cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Integrate fn over [a, b] to cfg.abs_tolerance (estimated).
+              tol: float = QUADRATURE_TOL) -> float:
+    """Integrate fn over [a, b] to the absolute tolerance tol (estimated).
 
-    Raises NonConvergenceError, carrying the best estimate and error
-    bound, if the interval cannot be resolved within cfg.max_depth
-    bisection levels.
+    Raises NonConvergenceError, carrying the best estimate and error bound
+    of the interval it stopped on, past MAX_DEPTH bisection levels or
+    MAX_PANELS panels.
     """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     fa, fb = float(a), float(b)
     if fa > fb:
         raise DomainError("integration bounds must satisfy a <= b")
     if fa == fb:
         return 0.0
     whole = _panel(fn, fa, fb)
-    return _adapt(fn, fa, fb, whole, cfg.abs_tolerance, cfg.max_depth)
+    return _adapt(fn, fa, fb, whole, tol, MAX_DEPTH, [1])
 
 
-def apply_i_operator(f: Callable[[float], float], z: float,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def apply_i_operator(f: Callable[[float], float], z: float) -> float:
     """I(f)(z) = integral of f(u)/u over (0, z], patched by f(u)/u -> 1 at 0."""
     fz = float(z)
     if not 0.0 < fz < 1.0:
@@ -190,7 +186,7 @@ def apply_i_operator(f: Callable[[float], float], z: float,
             return 1.0
         return f(u) / u
 
-    return integrate(integrand, 0.0, fz, cfg)
+    return integrate(integrand, 0.0, fz)
 
 
 def i_envelope(z: float) -> tuple[float, float]:
@@ -202,20 +198,15 @@ def i_envelope(z: float) -> tuple[float, float]:
 
 
 def derivative_estimate(g: Callable[[float], float], z: float,
-                        h: float | None = None,
                         domain: tuple[float, float] | None = None) -> float:
     """Second-order finite-difference derivative of g at z.
 
-    Central difference by default with h = 1e-6 * max(1, |z|); falls back
-    to a one-sided three-point stencil when z +/- h leaves the (open)
-    domain.  Raises DomainError when even the one-sided stencil does not
-    fit.
+    Central difference with step h = 1e-6 * max(1, |z|); falls back to a
+    one-sided three-point stencil when z +/- h leaves the (open) domain.
+    Raises DomainError when even the one-sided stencil does not fit.
     """
     fz = float(z)
-    if h is None:
-        h = 1e-6 * max(1.0, abs(fz))
-    elif h <= 0.0:
-        raise DomainError("step h must be positive")
+    h = 1e-6 * max(1.0, abs(fz))
 
     lo, hi = (-math.inf, math.inf) if domain is None else domain
     if not lo < fz <= hi:
@@ -235,8 +226,7 @@ def derivative_estimate(g: Callable[[float], float], z: float,
 SHAPE_TOLERANCE = 1e-12
 
 
-def probe_shape(fn: Callable[[float], float], grid: GridSpec,
-                tol: float = SHAPE_TOLERANCE) -> ShapeVerdict:
+def probe_shape(fn: Callable[[float], float], grid: GridSpec) -> ShapeVerdict:
     """Classify fn as convex/concave/neither by midpoint tests on a grid.
 
     For every adjacent grid pair (a, b) the value fn((a+b)/2) is compared
@@ -252,9 +242,9 @@ def probe_shape(fn: Callable[[float], float], grid: GridSpec,
         mid = 0.5 * (a + b)
         fmid = fn(mid)
         chord = 0.5 * (values[i] + values[i + 1])
-        if fmid > chord + tol and convex_break is None:
+        if fmid > chord + SHAPE_TOLERANCE and convex_break is None:
             convex_break = (a, mid, b)
-        if fmid < chord - tol and concave_break is None:
+        if fmid < chord - SHAPE_TOLERANCE and concave_break is None:
             concave_break = (a, mid, b)
         if convex_break and concave_break:
             break

@@ -21,6 +21,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._pairs import check_pair
 from .calculus import GridSpec
 from .errors import MeanLabError
 from .harmonic import check_representable, construct_candidate, verify_identity
@@ -56,16 +57,18 @@ def _parse_pairs(spec: str) -> list[tuple[float, float]] | None:
     path = Path(spec)
     if not path.exists():
         raise MeanLabError(f"pair file {spec!r} not found")
-    pairs = []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "y"]:
-            raise MeanLabError(f"pair file {spec!r} needs the header 'x,y'")
-        for row in reader:
-            try:
-                pairs.append((float(row["x"]), float(row["y"])))
-            except (TypeError, ValueError):
-                raise MeanLabError(f"pair file {spec!r}: bad row {row!r}") from None
+        rows = [row for row in csv.reader(fh) if row]  # blank lines are skipped
+    if not rows or [f.strip() for f in rows[0]] != ["x", "y"]:
+        raise MeanLabError(f"pair file {spec!r} needs the header 'x,y'")
+    pairs = []
+    for row in rows[1:]:
+        try:
+            x, y = map(float, row)
+            check_pair(x, y)
+        except ValueError as exc:  # DomainError included
+            raise MeanLabError(f"pair file {spec!r}: bad row {row!r} ({exc})") from None
+        pairs.append((x, y))
     if not pairs:
         raise MeanLabError(f"pair file {spec!r} contains no pairs")
     return pairs

@@ -23,15 +23,13 @@ and the ratio is below 1, every c_m < 1, which gives the derivative bounds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._pairs import check_pair, half_spread
-from .calculus import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .calculus import integrate
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "SeriesBudget",
     "agm",
     "ellip_k",
     "ellip_e",
@@ -54,22 +52,13 @@ MODULUS_CAP = 1.0 - 1e-12
 
 K_METHODS = ("agm", "series", "quadrature")
 
+#: The power series stop at the first term below SERIES_TERM_TOL, and
+#: raise NonConvergenceError after SERIES_MAX_TERMS terms.
+SERIES_TERM_TOL = 1e-16
+SERIES_MAX_TERMS = 10_000
 
-@dataclass(frozen=True)
-class SeriesBudget:
-    """Truncation control for the power series evaluators."""
-
-    term_tolerance: float = 1e-16
-    max_terms: int = 10000
-
-    def __post_init__(self) -> None:
-        if not self.term_tolerance > 0.0:
-            raise DomainError("term_tolerance must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-DEFAULT_BUDGET = SeriesBudget()
+#: Tolerance of the quadrature routes to K and E, the oracles for the others.
+ORACLE_TOL = 1e-13
 
 
 def agm(x: float, y: float) -> float:
@@ -91,7 +80,7 @@ def _check_modulus(z: float) -> float:
     return fz
 
 
-def _k_series(z: float, budget: SeriesBudget) -> float:
+def _k_series(z: float) -> float:
     z2 = z * z
     total = 1.0
     term = 1.0
@@ -101,9 +90,9 @@ def _k_series(z: float, budget: SeriesBudget) -> float:
         ratio = (2.0 * m - 1.0) / (2.0 * m)
         term *= ratio * ratio * z2
         total += term
-        if term < budget.term_tolerance:
+        if term < SERIES_TERM_TOL:
             return 0.5 * math.pi * total
-        if m >= budget.max_terms:
+        if m >= SERIES_MAX_TERMS:
             raise NonConvergenceError(
                 f"K series not converged after {m} terms at z={z!r}",
                 best=0.5 * math.pi * total,
@@ -111,9 +100,7 @@ def _k_series(z: float, budget: SeriesBudget) -> float:
             )
 
 
-def ellip_k(z: float, method: str = "agm",
-            budget: SeriesBudget = DEFAULT_BUDGET,
-            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def ellip_k(z: float, method: str = "agm") -> float:
     """Complete elliptic integral of the first kind.
 
     method "agm" inverts Gauss's identity (default: quadratically
@@ -124,7 +111,7 @@ def ellip_k(z: float, method: str = "agm",
     if method == "agm":
         return math.pi / (2.0 * agm(1.0 - fz, 1.0 + fz))
     if method == "series":
-        return _k_series(fz, budget)
+        return _k_series(fz)
     if method == "quadrature":
         z2 = fz * fz
 
@@ -132,12 +119,11 @@ def ellip_k(z: float, method: str = "agm",
             s = math.sin(phi)
             return 1.0 / math.sqrt(1.0 - z2 * s * s)
 
-        return integrate(integrand, 0.0, 0.5 * math.pi, cfg)
+        return integrate(integrand, 0.0, 0.5 * math.pi, ORACLE_TOL)
     raise ValueError(f"unknown method {method!r}, expected one of {K_METHODS}")
 
 
-def ellip_e(z: float, method: str = "agm",
-            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def ellip_e(z: float, method: str = "agm") -> float:
     """Complete elliptic integral of the second kind, for z in [0, 1].
 
     The default route runs the AGM iteration while accumulating the
@@ -170,7 +156,7 @@ def ellip_e(z: float, method: str = "agm",
             s = math.sin(phi)
             return math.sqrt(1.0 - z2 * s * s)
 
-        return integrate(integrand, 0.0, 0.5 * math.pi, cfg)
+        return integrate(integrand, 0.0, 0.5 * math.pi, ORACLE_TOL)
     raise ValueError(f"unknown method {method!r}, expected 'agm' or 'quadrature'")
 
 
@@ -224,7 +210,7 @@ def agm_coefficient_ratio(m: int) -> Fraction:
     return Fraction((2 * m + 1) * (2 * m + 3), (2 * m + 2) ** 2)
 
 
-def agm_seiffert_prime(z: float, budget: SeriesBudget = DEFAULT_BUDGET) -> float:
+def agm_seiffert_prime(z: float) -> float:
     """Derivative of the AGM Seiffert function by its power series.
 
     Equals (2/pi) E(z) / (1 - z^2) in closed form; the series route is
@@ -239,9 +225,9 @@ def agm_seiffert_prime(z: float, budget: SeriesBudget = DEFAULT_BUDGET) -> float
     m = 1
     while True:
         total += term
-        if term < budget.term_tolerance:
+        if term < SERIES_TERM_TOL:
             return total
-        if m >= budget.max_terms:
+        if m >= SERIES_MAX_TERMS:
             raise NonConvergenceError(
                 f"derivative series not converged after {m} terms at z={z!r}",
                 best=total,

@@ -30,14 +30,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .calculus import (
-    DEFAULT_QUADRATURE,
-    GridSpec,
-    QuadratureConfig,
-    apply_i_operator,
-    derivative_estimate,
-    integrate,
-)
+from ._pairs import check_pair, half_spread, pulled_pair
+from .calculus import GridSpec, apply_i_operator, derivative_estimate, integrate
 from .errors import NonConvergenceError
 from .means import (
     MeanDescriptor,
@@ -197,7 +191,6 @@ class IdentityReport:
 def verify_identity(represented: str | MeanDescriptor,
                     representer: str | MeanDescriptor,
                     points: list[tuple[float, float]] | None = None,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                     tol: float = 1e-9) -> IdentityReport:
     """Check 1/M = integral dt/N^{t} at each pair, plus m(z) vs I(n)(z).
 
@@ -212,22 +205,20 @@ def verify_identity(represented: str | MeanDescriptor,
 
     records = []
     for x, y in points:
-        z = relative_half_spread(x, y)
-        mid = 0.5 * (x + y)
-        shift_unit = 0.5 * abs(x - y)
+        lo, hi = check_pair(x, y)
+        z = half_spread(lo, hi)
 
         def integrand(t: float) -> float:
-            s = t * shift_unit
-            return 1.0 / n_desc(mid - s, mid + s)
+            return 1.0 / n_desc(*pulled_pair(lo, hi, t))
 
         try:
-            q = integrate(integrand, 0.0, 1.0, cfg)
+            q = integrate(integrand, 0.0, 1.0)
             dev1 = abs(m_desc(x, y) * q - 1.0)
             if z == 0.0:
                 dev2 = 0.0
                 note = "degenerate pair"
             else:
-                dev2 = abs(m_seiffert(z) - apply_i_operator(n_seiffert, z, cfg))
+                dev2 = abs(m_seiffert(z) - apply_i_operator(n_seiffert, z))
                 note = ""
             records.append(IdentityPointRecord(
                 x, y, z, dev1, dev2, dev1 <= tol and dev2 <= tol, note))

@@ -30,6 +30,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from ._pairs import check_pair, pulled_pair
 from .calculus import GridSpec
 from .errors import DomainError
 from .means import MeanDescriptor, deform_mean, get_mean, relative_half_spread
@@ -102,6 +103,12 @@ def _harmonic_of(*values: float) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
+def _hh_lower(desc: MeanDescriptor, x: float, y: float) -> float:
+    """H(A, N) at a pair; x itself for equal arguments."""
+    n_value = desc(x, y)
+    return n_value if float(x) == float(y) else _harmonic_of(0.5 * (x + y), n_value)
+
+
 def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, float]:
     """The sandwich (H(A, N), N^{1/2}) evaluated at a pair.
 
@@ -110,25 +117,20 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     sides.  For equal arguments both bounds collapse to x.
     """
     desc = get_mean(mean)
+    lower = _hh_lower(desc, x, y)
     if float(x) == float(y):
-        value = desc(x, y)
-        return value, value
-    a = 0.5 * (x + y)
-    n_value = desc(x, y)
-    lower = _harmonic_of(a, n_value)
-    upper = deform_mean(desc, 0.5)(x, y)
-    return lower, upper
+        return lower, lower
+    return lower, desc(*pulled_pair(*check_pair(x, y), 0.5))
 
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
     desc = get_mean(mean)
-    if float(x) == float(y):
-        return desc(x, y)
-    a = 0.5 * (x + y)
     n_value = desc(x, y)
-    n_half = deform_mean(desc, 0.5)(x, y)
-    return _harmonic_of(a, n_half, n_half, n_value)
+    if float(x) == float(y):
+        return n_value
+    n_half = desc(*pulled_pair(*check_pair(x, y), 0.5))
+    return _harmonic_of(0.5 * (x + y), n_half, n_half, n_value)
 
 
 def envelope_lemma(kind: str, u: float) -> tuple[float, float]:
@@ -242,12 +244,14 @@ def _half_term(mean_id: str) -> Term:
 
 
 def _hh_lower_term(mean_id: str) -> Term:
-    return f"H(A,{mean_id})", lambda x, y: hh_bounds(mean_id, x, y)[0]
+    desc = get_mean(mean_id)
+    return f"H(A,{mean_id})", lambda x, y: _hh_lower(desc, x, y)
 
 
 def _hh_refined_term(mean_id: str) -> Term:
+    desc = get_mean(mean_id)
     return (f"H(A,{mean_id}^{{1/2}},{mean_id}^{{1/2}},{mean_id})",
-            lambda x, y: hh_refined_lower(mean_id, x, y))
+            lambda x, y: hh_refined_lower(desc, x, y))
 
 
 def _forward_chain(name: str, represented: str, representer: str,

@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import elliptic
-from ._pairs import check_pair, half_spread
+from ._pairs import check_pair, half_spread, pulled_pair
 from .errors import DomainError, SeiffertBoundError, UnknownMeanError
 
 __all__ = [
@@ -339,9 +339,7 @@ def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
         return desc
 
     def evaluator(lo: float, hi: float) -> float:
-        mid = 0.5 * (lo + hi)
-        shift = 0.5 * ft * (hi - lo)
-        return desc(mid - shift, mid + shift)
+        return desc(*pulled_pair(lo, hi, ft))
 
     return MeanDescriptor(f"{desc.id}^{{{ft:g}}}", f"{desc.display} deformed by t={ft:g}",
                           evaluator, note=f"t-deformation of {desc.id}")

@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from . import elliptic
 from .calculus import (
-    DEFAULT_QUADRATURE,
+    QUADRATURE_TOL,
     GridSpec,
-    QuadratureConfig,
     apply_i_operator,
     derivative_estimate,
     probe_shape,
@@ -47,13 +46,14 @@ _REF_SPOTS = {
 _SECH2_AT_1 = 0.41997434161402606  # 1/cosh(1)^2
 
 
-def _roundtrip_pairs(count: int = 50) -> list[tuple[float, float]]:
-    return [(1.0 - z, 1.0 + z) for z in GridSpec(1e-4, 0.99, count, "log").points()]
+def _roundtrip_pairs() -> list[tuple[float, float]]:
+    return [(1.0 - z, 1.0 + z) for z in GridSpec(1e-4, 0.99, 50, "log").points()]
 
 
-def check_roundtrip(tol: float = 1e-12) -> list[CheckRecord]:
+def check_roundtrip() -> list[CheckRecord]:
     """Mean -> Seiffert function -> mean reproduces every catalog mean."""
     records = []
+    tol = 1e-12
     pairs = _roundtrip_pairs()
     for mean_id in MEAN_IDS:
         original = get_mean(mean_id)
@@ -68,9 +68,10 @@ def check_roundtrip(tol: float = 1e-12) -> list[CheckRecord]:
     return records
 
 
-def check_harmonic_identities(tol: float = 1e-9) -> list[CheckRecord]:
+def check_harmonic_identities() -> list[CheckRecord]:
     """The defining integral identity for the eight catalog pairs."""
     records = []
+    tol = 1e-9
     pairs = default_pairs(20)
     for entry in PAIR_CATALOG:
         report = verify_identity(entry.represented, entry.representer,
@@ -123,9 +124,10 @@ def check_negative_results() -> list[CheckRecord]:
     return records
 
 
-def check_gauss_identity(tol: float = 1e-12) -> list[CheckRecord]:
+def check_gauss_identity() -> list[CheckRecord]:
     """AGM(1-z, 1+z) * (2/pi) K(z) = 1, with K summed independently."""
     records = []
+    tol = 1e-12
     for z in [0.05 * k for k in range(1, 20)]:
         k_series = elliptic.ellip_k(z, method="series")
         product = elliptic.agm(1.0 - z, 1.0 + z) * (2.0 / math.pi) * k_series
@@ -139,13 +141,12 @@ def check_gauss_identity(tol: float = 1e-12) -> list[CheckRecord]:
 def check_elliptic_cross_validation() -> list[CheckRecord]:
     """Three K routes agree pairwise; the K' formula matches differences."""
     records = []
-    tight = QuadratureConfig(abs_tolerance=1e-13, max_depth=60)
     tol = 1e-12
     worst = {"agm-vs-series": 0.0, "agm-vs-quadrature": 0.0, "series-vs-quadrature": 0.0}
     for z in [0.05 * k for k in range(0, 19)]:  # 0.0 .. 0.90
         k_agm = elliptic.ellip_k(z, method="agm")
         k_series = elliptic.ellip_k(z, method="series")
-        k_quad = elliptic.ellip_k(z, method="quadrature", cfg=tight)
+        k_quad = elliptic.ellip_k(z, method="quadrature")
         worst["agm-vs-series"] = max(worst["agm-vs-series"],
                                      abs(k_agm - k_series) / k_agm)
         worst["agm-vs-quadrature"] = max(worst["agm-vs-quadrature"],
@@ -171,9 +172,10 @@ def check_elliptic_cross_validation() -> list[CheckRecord]:
     return records
 
 
-def check_coefficient_facts(max_m: int = 1000) -> list[CheckRecord]:
+def check_coefficient_facts() -> list[CheckRecord]:
     """c_1 = 3/4; the exact ratio identity; c_m < 1 throughout."""
     records = []
+    max_m = 1000
     records.append(CheckRecord("06-series-coefficients", "c1-exact",
                                 elliptic.agm_coefficient_exact(1) == Fraction(3, 4)
                                 and elliptic.agm_coefficient(1) == 0.75,
@@ -252,7 +254,7 @@ def check_envelope_lemmas() -> list[CheckRecord]:
 def check_operator_properties() -> list[CheckRecord]:
     """Monotonicity, envelope, vanishing limit, and shape preservation of I."""
     records = []
-    slack = 2.0 * DEFAULT_QUADRATURE.abs_tolerance
+    slack = 2.0 * QUADRATURE_TOL
 
     premise_zs = GridSpec(0.01, 0.99, 99).points()
     probe_zs = [0.1 * k for k in range(1, 10)]
@@ -309,8 +311,7 @@ def check_operator_properties() -> list[CheckRecord]:
 
         verdict = probe_shape(i_of_f, probe_grid)
         sandwich = math.inf
-        for z in probe_zs:
-            value = apply_i_operator(f, z)
+        for z, value in zip(probe_zs, i_values[mean_id]):
             if shape == "concave":
                 sandwich = min(sandwich, z - value, value - f(z))
             else:

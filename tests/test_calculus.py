@@ -1,6 +1,11 @@
 """Quadrature, the integral operator, derivatives, and shape probing."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from meanlab import (
     DomainError,
     GridSpec,
     NonConvergenceError,
-    QuadratureConfig,
     apply_i_operator,
     derivative_estimate,
     ellip_e,
@@ -20,7 +24,9 @@ from meanlab import (
     probe_shape,
     seiffert_of_mean,
 )
-from meanlab.calculus import _GL_PAIRS
+from meanlab.calculus import _GL_PAIRS, MAX_PANELS, QUADRATURE_TOL
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Uniform grids the package samples, plus edge shapes.
 UNIFORM_GRIDS = [(0.0005, 0.9995, 1000), (0.01, 0.99, 99), (0.001, 0.999, 500),
@@ -53,7 +59,6 @@ class TestIntegrate:
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        cfg = QuadratureConfig()
         for _ in range(5):
             a, b = sorted(rng.uniform(0.0, 3.0, size=2))
             if a == b:
@@ -67,16 +72,46 @@ class TestIntegrate:
             def g(u, w=w2):
                 return math.exp(-u) * math.cos(w * u)
 
-            combined = integrate(lambda u: alpha * f(u) + beta * g(u), a, b, cfg)
-            split = alpha * integrate(f, a, b, cfg) + beta * integrate(g, a, b, cfg)
-            assert abs(combined - split) <= 3.0 * cfg.abs_tolerance
+            combined = integrate(lambda u: alpha * f(u) + beta * g(u), a, b)
+            split = alpha * integrate(f, a, b) + beta * integrate(g, a, b)
+            assert abs(combined - split) <= 3.0 * QUADRATURE_TOL
 
     def test_non_convergence_carries_best_estimate(self):
-        cfg = QuadratureConfig(abs_tolerance=1e-15, max_depth=3)
         with pytest.raises(NonConvergenceError) as err:
-            integrate(lambda u: math.sin(50.0 * u), 0.0, 3.0, cfg)
+            integrate(lambda u: math.sin(50.0 * u), 0.0, 3.0, tol=1e-18)
         assert err.value.best is not None
         assert err.value.error_bound > 0.0
+
+    # Each case ran for minutes before integrate bounded its panels: the
+    # tolerance halves per level, so siblings far from the hard spot kept
+    # bisecting.  A subprocess with a timeout turns a regression into a
+    # failure instead of a hung run.
+    @pytest.mark.parametrize("value, call", [
+        ("abs(u - 1 / 3) ** -0.9", "integrate(f, 0.0, 1.0)"),
+        ("h(u)", "apply_i_operator(f, 0.99999)"),
+    ], ids=["singular", "harmonic-near-one"])
+    def test_panel_budget_ends_the_work(self, value, call):
+        code = textwrap.dedent(f"""
+            from meanlab import NonConvergenceError, apply_i_operator, integrate
+            from meanlab import seiffert_of_mean
+            h = seiffert_of_mean("H")
+            evals = 0
+            def f(u):
+                global evals
+                evals += 1
+                return {value}
+            try:
+                {call}
+            except NonConvergenceError as exc:
+                print(evals, exc.best, exc.error_bound)
+            """)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env, timeout=30)
+        assert result.returncode == 0, result.stderr
+        evals, best, bound = result.stdout.split()
+        assert int(evals) <= 15 * (MAX_PANELS + 2)
+        assert math.isfinite(float(best)) and float(bound) > 0.0
 
     def test_gauss_legendre_pairs_match_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(15)
@@ -84,9 +119,9 @@ class TestIntegrate:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            QuadratureConfig(abs_tolerance=0.0)
+            integrate(math.sin, 0.0, 1.0, tol=0.0)
         with pytest.raises(DomainError):
-            QuadratureConfig(max_depth=0)
+            integrate(math.sin, 0.0, 1.0, tol=math.nan)
 
 
 class TestIOperator:
@@ -165,13 +200,9 @@ class TestDerivativeEstimate:
         with pytest.raises(DomainError):
             derivative_estimate(math.sin, 2.0, domain=(0.0, 1.0))
 
-    def test_bad_step(self):
-        with pytest.raises(DomainError):
-            derivative_estimate(math.sin, 0.5, h=0.0)
-
     def test_domain_too_tight(self):
         with pytest.raises(DomainError):
-            derivative_estimate(math.sin, 0.5, h=1.0, domain=(0.0, 1.0))
+            derivative_estimate(math.sin, 0.5, domain=(0.5 - 1e-6, 0.5))
 
 
 class TestProbeShape:

@@ -197,6 +197,44 @@ class TestIneq:
         assert result.stdout.splitlines()[0] == "check,name,x,y,z,margin,pass"
 
 
+#: The two verbs that read pair files.
+PAIR_VERBS = {"verify": ("harmonic", "verify", "--mean", "L", "--repr", "H"),
+              "ineq": ("ineq", "run", "--chain", "hh-L-H")}
+
+
+class TestPairFiles:
+    def test_header_with_spaces_is_read_and_row_order_kept(self, tmp_path):
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_text("x, y\n3,1\n2, 5\n")
+        result = run_cli(*PAIR_VERBS["verify"], "--pairs", str(pair_file),
+                         "--format", "json")
+        assert result.returncode == 0, result.stderr
+        records = strict_json(result.stdout)["records"]
+        assert [(r["x"], r["y"]) for r in records] == [(3.0, 1.0), (2.0, 5.0)]
+
+    @pytest.mark.parametrize("verb", sorted(PAIR_VERBS))
+    @pytest.mark.parametrize("row", ["nan,1", "-1,3", "1,3,4"])
+    def test_bad_row_is_a_usage_error(self, tmp_path, verb, row):
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_text(f"x,y\n1,3\n{row}\n")
+        result = run_cli(*PAIR_VERBS[verb], "--pairs", str(pair_file))
+        assert result.returncode == 2
+        assert "bad row" in result.stderr
+        assert result.stdout == ""
+
+    def test_unresolvable_pair_fails_instead_of_hanging(self, tmp_path):
+        # I(f_H) at z ~ 0.99999 ran for minutes before quadrature had a
+        # panel budget; the timeout turns a regression into a failure
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_text("x,y\n1e-5,2\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "meanlab", *PAIR_VERBS["verify"],
+             "--pairs", str(pair_file)],
+            capture_output=True, text=True, timeout=30)
+        assert result.returncode == 1
+        assert "quadrature failed" in result.stdout
+
+
 class TestSuiteCommand:
     def test_requires_all_flag(self):
         result = run_cli("suite")

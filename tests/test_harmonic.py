@@ -8,7 +8,6 @@ from meanlab import (
     NON_REPRESENTABLE_IDS,
     PAIR_CATALOG,
     MeanDescriptor,
-    QuadratureConfig,
     SeiffertFunction,
     check_representable,
     construct_candidate,
@@ -130,8 +129,7 @@ class TestVerifyIdentity:
         assert report.passed, f"max deviation {report.max_deviation:.3e}"
 
     def test_quadrature_failure_recorded_per_point(self):
-        cfg = QuadratureConfig(abs_tolerance=1e-18, max_depth=1)
-        report = verify_identity("AGM", "V", [(1.0, 3.0)], cfg=cfg)
+        report = verify_identity("L", "H", [(1e-5, 2.0)])
         assert not report.passed
         assert "quadrature failed" in report.points[0].note
 
