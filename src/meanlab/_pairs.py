@@ -1,4 +1,4 @@
-"""Validation and splitting of positive argument pairs."""
+"""The domains of the library's arguments, each checked once, where a value enters."""
 
 from __future__ import annotations
 
@@ -24,14 +24,20 @@ def check_pair(x: float, y: float) -> tuple[float, float]:
     return (fx, fy) if fx <= fy else (fy, fx)
 
 
+def check_unit(z: float, name: str = "z") -> float:
+    """Validate a point of the open interval (0, 1) and return it as a float."""
+    fz = float(z)
+    if not 0.0 < fz < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {z!r}")
+    return fz
+
+
 def half_spread(lo: float, hi: float) -> float:
     """|x - y| / (x + y) for an ordered pair, always in [0, 1).
 
     Uses the ratio form when the sum would overflow, and clamps to the
     largest double below 1 for pairs whose spread rounds up to 1.
     """
-    if lo == hi:
-        return 0.0
     if hi > _SUM_OVERFLOW_GUARD:
         r = lo / hi
         z = (1.0 - r) / (1.0 + r)
@@ -41,7 +47,9 @@ def half_spread(lo: float, hi: float) -> float:
 
 
 def pulled_pair(lo: float, hi: float, t: float) -> tuple[float, float]:
-    """The arguments (m - t d, m + t d) of the t-deformation at (lo, hi)."""
+    """The arguments (m - t d, m + t d) of the t-deformation at (lo, hi), again ordered."""
     mid = 0.5 * (lo + hi)
     shift = 0.5 * t * (hi - lo)
-    return mid - shift, mid + shift
+    a, b = mid - shift, mid + shift
+    # check_pair raises here: x + y overflowed, or m - t d rounded to 0 for t near 1
+    return (a, b) if 0.0 < a and b < math.inf else check_pair(a, b)

@@ -21,6 +21,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from ._pairs import check_unit
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
@@ -115,14 +116,18 @@ class ShapeVerdict:
     """Outcome of a midpoint-convexity probe.
 
     `classification` is one of "convex", "concave" or "neither"; a witness
-    triple (a, mid, b) where the midpoint test fails in both directions is
-    attached only for "neither".  Data that is affine within tolerance
-    classifies as convex (the degenerate convex case).  A verdict is a
-    statement about the probed grid only, never a proof.
+    triple (a, mid, b) where the midpoint test fails in both directions, or
+    the first where fn gives NaN, is attached only for "neither".  Data that
+    is affine within tolerance classifies as convex (the degenerate convex
+    case).  A verdict is a statement about the probed grid only, never a proof.
     """
 
     classification: str
     witness: tuple[float, float, float] | None = None
+
+
+class _Stopped(NonConvergenceError):
+    """Work bound reached; on the way up `best` grows to cover all of [a, b]."""
 
 
 def _panel(fn: Callable[[float], float], a: float, b: float) -> float:
@@ -145,24 +150,24 @@ def _adapt(fn, a, b, whole, tol, depth, used):
         return refined
     if depth <= 0 or used[0] >= MAX_PANELS:
         limit = "bisection depth" if depth <= 0 else f"{MAX_PANELS} panels"
-        raise NonConvergenceError(
-            f"quadrature did not converge on [{a}, {b}] within {limit} "
-            f"(best estimate {refined!r}, error bound {err!r})",
-            best=refined,
-            error_bound=err,
-        )
+        raise _Stopped(f"{limit} reached on [{a}, {b}], error bound {err!r}", refined, err)
     half_tol = 0.5 * tol
-    return (_adapt(fn, a, mid, left, half_tol, depth - 1, used)
-            + _adapt(fn, mid, b, right, half_tol, depth - 1, used))
+    done = None
+    try:
+        done = _adapt(fn, a, mid, left, half_tol, depth - 1, used)
+        return done + _adapt(fn, mid, b, right, half_tol, depth - 1, used)
+    except _Stopped as exc:  # add the finished left half, or the right half's panel
+        exc.best += right if done is None else done
+        raise
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float,
               tol: float = QUADRATURE_TOL) -> float:
     """Integrate fn over [a, b] to the absolute tolerance tol (estimated).
 
-    Raises NonConvergenceError, carrying the best estimate and error bound
-    of the interval it stopped on, past MAX_DEPTH bisection levels or
-    MAX_PANELS panels.
+    Raises NonConvergenceError past MAX_DEPTH bisection levels or
+    MAX_PANELS panels, carrying the best estimate of the integral over
+    [a, b] and the error bound of the subinterval where the work stopped.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -172,14 +177,16 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
     if fa == fb:
         return 0.0
     whole = _panel(fn, fa, fb)
-    return _adapt(fn, fa, fb, whole, tol, MAX_DEPTH, [1])
+    try:
+        return _adapt(fn, fa, fb, whole, tol, MAX_DEPTH, [1])
+    except _Stopped as exc:
+        where = f"quadrature did not converge on [{fa}, {fb}] (best estimate {exc.best!r})"
+        raise NonConvergenceError(f"{where}: {exc}", exc.best, exc.error_bound) from None
 
 
 def apply_i_operator(f: Callable[[float], float], z: float) -> float:
     """I(f)(z) = integral of f(u)/u over (0, z], patched by f(u)/u -> 1 at 0."""
-    fz = float(z)
-    if not 0.0 < fz < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z!r}")
+    fz = check_unit(z)
 
     def integrand(u: float) -> float:
         if u < I_OPERATOR_CUTOFF:
@@ -191,9 +198,7 @@ def apply_i_operator(f: Callable[[float], float], z: float) -> float:
 
 def i_envelope(z: float) -> tuple[float, float]:
     """The band (log(1+z), -log(1-z)) that I(f)(z) must lie in."""
-    fz = float(z)
-    if not 0.0 < fz < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z!r}")
+    fz = check_unit(z)
     return math.log1p(fz), -math.log1p(-fz)
 
 
@@ -242,6 +247,8 @@ def probe_shape(fn: Callable[[float], float], grid: GridSpec) -> ShapeVerdict:
         mid = 0.5 * (a + b)
         fmid = fn(mid)
         chord = 0.5 * (values[i] + values[i + 1])
+        if math.isnan(fmid) or math.isnan(chord):
+            return ShapeVerdict("neither", (a, mid, b))
         if fmid > chord + SHAPE_TOLERANCE and convex_break is None:
             convex_break = (a, mid, b)
         if fmid < chord - SHAPE_TOLERANCE and concave_break is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._pairs import check_pair, half_spread
+from ._pairs import check_pair, check_unit, half_spread
 from .calculus import integrate
 from .errors import DomainError, NonConvergenceError
 
@@ -166,20 +166,16 @@ def ellip_k_prime(z: float) -> float:
     The formula is singular at z = 0 although K is even there; the true
     limit is exposed as a special case returning 0.
     """
-    fz = float(z)
-    if fz == 0.0:
+    if float(z) == 0.0:
         return 0.0
-    if not 0.0 < fz < 1.0:
-        raise DomainError(f"K' needs a modulus in (0, 1), got {z!r}")
+    fz = check_unit(z)
     one_minus = (1.0 - fz) * (1.0 + fz)
     return ellip_e(fz) / (fz * one_minus) - ellip_k(fz) / fz
 
 
 def agm_seiffert(z: float) -> float:
     """Seiffert function of the AGM mean: (2/pi) z K(z)."""
-    fz = float(z)
-    if not 0.0 < fz < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z!r}")
+    fz = check_unit(z)
     return 2.0 / math.pi * fz * ellip_k(fz)
 
 
@@ -216,9 +212,7 @@ def agm_seiffert_prime(z: float) -> float:
     Equals (2/pi) E(z) / (1 - z^2) in closed form; the series route is
     kept independent so the two can check each other.
     """
-    fz = float(z)
-    if not 0.0 < fz < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z!r}")
+    fz = check_unit(z)
     z2 = fz * fz
     total = 1.0
     term = 0.75 * z2  # c_1 z^2
@@ -260,9 +254,7 @@ def v_seiffert_prime(z: float) -> float:
 
         v'(z) = (2/pi) [ (2E - K)/(1 - z^2) + 2 z^2 E/(1 - z^2)^2 ].
     """
-    fz = float(z)
-    if not 0.0 < fz < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z!r}")
+    fz = check_unit(z)
     e = ellip_e(fz)
     k = ellip_k(fz)
     one_minus = (1.0 - fz) * (1.0 + fz)

@@ -31,15 +31,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ._pairs import check_pair, half_spread, pulled_pair
-from .calculus import GridSpec, apply_i_operator, derivative_estimate, integrate
+from .calculus import GridSpec, apply_i_operator, derivative_estimate, i_envelope, integrate
 from .errors import NonConvergenceError
-from .means import (
-    MeanDescriptor,
-    SeiffertFunction,
-    get_mean,
-    relative_half_spread,
-    seiffert_of_mean,
-)
+from .means import MeanDescriptor, SeiffertFunction, get_mean, seiffert_of_mean
 
 __all__ = [
     "RepresentationVerdict",
@@ -144,6 +138,8 @@ def check_representable(m: SeiffertFunction,
     try:
         for z in grid.points():
             dv = d(z)
+            if math.isnan(dv):
+                raise ArithmeticError(f"derivative is NaN at z={z!r}")
             dist = min(dv - 1.0 / (1.0 + z), 1.0 / (1.0 - z) - dv)
             if dist < worst:
                 worst = dist
@@ -209,11 +205,11 @@ def verify_identity(represented: str | MeanDescriptor,
         z = half_spread(lo, hi)
 
         def integrand(t: float) -> float:
-            return 1.0 / n_desc(*pulled_pair(lo, hi, t))
+            return 1.0 / n_desc.ordered(*pulled_pair(lo, hi, t))
 
         try:
             q = integrate(integrand, 0.0, 1.0)
-            dev1 = abs(m_desc(x, y) * q - 1.0)
+            dev1 = abs(m_desc.ordered(lo, hi) * q - 1.0)
             if z == 0.0:
                 dev2 = 0.0
                 note = "degenerate pair"
@@ -270,16 +266,16 @@ def log_envelope_check(mean: str | MeanDescriptor,
         points = default_pairs()
     records = []
     for x, y in points:
-        z = relative_half_spread(x, y)
+        lo, hi = check_pair(x, y)
+        z = half_spread(lo, hi)
         a = 0.5 * (x + y)
-        value = desc(x, y)
+        value = desc.ordered(lo, hi)
         if z == 0.0:
             lower = upper = value
             margin = 0.0
         else:
             d = abs(x - y)
-            lower = d / (2.0 * -math.log1p(-z))
-            upper = d / (2.0 * math.log1p(z))
+            upper, lower = (d / (2.0 * v) for v in i_envelope(z))
             margin = min(value - lower, upper - value) / a
         records.append(EnvelopePointRecord(
             x, y, z, lower, value, upper, margin, margin >= -ENVELOPE_TOL))

@@ -30,9 +30,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ._pairs import check_pair, pulled_pair
-from .calculus import GridSpec
+from ._pairs import check_pair, check_unit, pulled_pair
 from .errors import DomainError
+from .harmonic import default_pairs
 from .means import MeanDescriptor, deform_mean, get_mean, relative_half_spread
 
 __all__ = [
@@ -103,10 +103,10 @@ def _harmonic_of(*values: float) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def _hh_lower(desc: MeanDescriptor, x: float, y: float) -> float:
-    """H(A, N) at a pair; x itself for equal arguments."""
-    n_value = desc(x, y)
-    return n_value if float(x) == float(y) else _harmonic_of(0.5 * (x + y), n_value)
+def _hh_lower(desc: MeanDescriptor, lo: float, hi: float) -> float:
+    """H(A, N) at an ordered pair; lo itself for equal arguments."""
+    n_value = desc.ordered(lo, hi)
+    return n_value if lo == hi else _harmonic_of(0.5 * (lo + hi), n_value)
 
 
 def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, float]:
@@ -117,20 +117,22 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     sides.  For equal arguments both bounds collapse to x.
     """
     desc = get_mean(mean)
-    lower = _hh_lower(desc, x, y)
-    if float(x) == float(y):
+    lo, hi = check_pair(x, y)
+    lower = _hh_lower(desc, lo, hi)
+    if lo == hi:
         return lower, lower
-    return lower, desc(*pulled_pair(*check_pair(x, y), 0.5))
+    return lower, desc.ordered(*pulled_pair(lo, hi, 0.5))
 
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
     desc = get_mean(mean)
-    n_value = desc(x, y)
-    if float(x) == float(y):
+    lo, hi = check_pair(x, y)
+    n_value = desc.ordered(lo, hi)
+    if lo == hi:
         return n_value
-    n_half = desc(*pulled_pair(*check_pair(x, y), 0.5))
-    return _harmonic_of(0.5 * (x + y), n_half, n_half, n_value)
+    n_half = desc.ordered(*pulled_pair(lo, hi, 0.5))
+    return _harmonic_of(0.5 * (lo + hi), n_half, n_half, n_value)
 
 
 def envelope_lemma(kind: str, u: float) -> tuple[float, float]:
@@ -139,9 +141,7 @@ def envelope_lemma(kind: str, u: float) -> tuple[float, float]:
     arctan:  u (2+u^2)/(2+2u^2) < arctan u < 4u/(4+u^2)
     arsinh:  u/2 + u/(2 sqrt(u^2+1)) <= arsinh u <= 2u/sqrt(u^2+4)
     """
-    fu = float(u)
-    if not 0.0 < fu < 1.0:
-        raise DomainError(f"u must lie in (0, 1), got {u!r}")
+    fu = check_unit(u, "u")
     u2 = fu * fu
     if kind == "arctan":
         return fu * (2.0 + u2) / (2.0 + 2.0 * u2), 4.0 * fu / (4.0 + u2)
@@ -187,7 +187,7 @@ def default_pair_grid(count: int = 100, z_min: float = 1e-4, z_max: float = 0.99
     if not 0 <= rescalings <= len(_RESCALING_DRAWS):
         raise DomainError(f"rescalings must lie in [0, {len(_RESCALING_DRAWS)}], "
                           f"got {rescalings!r}")
-    pairs = [(1.0 - z, 1.0 + z) for z in GridSpec(z_min, z_max, count, "log").points()]
+    pairs = default_pairs(count, z_min, z_max)
     for rz, rs in _RESCALING_DRAWS[:rescalings]:
         z = _log_uniform(z_min, z_max, rz)
         scale = _log_uniform(1e-3, 1e3, rs)
@@ -245,7 +245,7 @@ def _half_term(mean_id: str) -> Term:
 
 def _hh_lower_term(mean_id: str) -> Term:
     desc = get_mean(mean_id)
-    return f"H(A,{mean_id})", lambda x, y: _hh_lower(desc, x, y)
+    return f"H(A,{mean_id})", lambda x, y: _hh_lower(desc, *check_pair(x, y))
 
 
 def _hh_refined_term(mean_id: str) -> Term:

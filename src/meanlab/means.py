@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import elliptic
-from ._pairs import check_pair, half_spread, pulled_pair
+from ._pairs import check_pair, check_unit, half_spread, pulled_pair
 from .errors import DomainError, SeiffertBoundError, UnknownMeanError
 
 __all__ = [
@@ -55,9 +55,9 @@ __all__ = [
 class MeanDescriptor:
     """A named, evaluable symmetric homogeneous mean on positive pairs.
 
-    The evaluator receives an ordered pair (lo, hi) with 0 < lo < hi;
-    symmetry is guaranteed by canonical argument ordering and the equal
-    case returns the common value exactly.
+    The evaluator receives an ordered pair (lo, hi) with 0 < lo < hi.  A call
+    validates and orders its arguments (which makes the mean symmetric), then
+    runs `ordered`, the unchecked core that returns lo exactly when lo == hi.
 
     Catalog means also know their Seiffert function's shape on (0, 1)
     ("affine", "convex" or "concave"; it drives the shape-preservation
@@ -73,11 +73,12 @@ class MeanDescriptor:
     shape: str | None = None
     derivative: Callable[[float], float] | None = field(default=None, repr=False)
 
+    def ordered(self, lo: float, hi: float) -> float:
+        """The mean at a pair known to satisfy 0 < lo <= hi; checks nothing."""
+        return lo if lo == hi else self.evaluator(lo, hi)
+
     def __call__(self, x: float, y: float) -> float:
-        lo, hi = check_pair(x, y)
-        if lo == hi:
-            return lo
-        return self.evaluator(lo, hi)
+        return self.ordered(*check_pair(x, y))
 
 
 @dataclass(frozen=True)
@@ -89,23 +90,17 @@ class SeiffertFunction:
     name: str = ""
 
     def __call__(self, z: float) -> float:
-        fz = float(z)
-        if not 0.0 < fz < 1.0:
-            raise DomainError(f"Seiffert functions live on (0, 1), got {z!r}")
-        return self.func(fz)
+        return self.func(check_unit(z))
 
 
 def relative_half_spread(x: float, y: float) -> float:
     """z = |x - y| / (x + y), always in [0, 1)."""
-    lo, hi = check_pair(x, y)
-    return half_spread(lo, hi)
+    return half_spread(*check_pair(x, y))
 
 
 def seiffert_bounds(z: float) -> tuple[float, float]:
     """The admissible band (z/(1+z), z/(1-z)) at a given z in (0, 1)."""
-    fz = float(z)
-    if not 0.0 < fz < 1.0:
-        raise DomainError(f"z must lie in (0, 1), got {z!r}")
+    fz = check_unit(z)
     return fz / (1.0 + fz), fz / (1.0 - fz)
 
 
@@ -267,7 +262,7 @@ def seiffert_of_mean(mean: str | MeanDescriptor) -> SeiffertFunction:
     desc = get_mean(mean)
 
     def func(z: float) -> float:
-        return z / desc(1.0 - z, 1.0 + z)
+        return z / desc.ordered(1.0 - z, 1.0 + z)
 
     return SeiffertFunction(func, desc.derivative, name=f"f[{desc.id}]")
 
@@ -339,7 +334,7 @@ def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
         return desc
 
     def evaluator(lo: float, hi: float) -> float:
-        return desc(*pulled_pair(lo, hi, ft))
+        return desc.ordered(*pulled_pair(lo, hi, ft))
 
     return MeanDescriptor(f"{desc.id}^{{{ft:g}}}", f"{desc.display} deformed by t={ft:g}",
                           evaluator, note=f"t-deformation of {desc.id}")

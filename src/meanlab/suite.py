@@ -17,6 +17,7 @@ from .calculus import (
     GridSpec,
     apply_i_operator,
     derivative_estimate,
+    i_envelope,
     probe_shape,
 )
 from .harmonic import (
@@ -46,15 +47,11 @@ _REF_SPOTS = {
 _SECH2_AT_1 = 0.41997434161402606  # 1/cosh(1)^2
 
 
-def _roundtrip_pairs() -> list[tuple[float, float]]:
-    return [(1.0 - z, 1.0 + z) for z in GridSpec(1e-4, 0.99, 50, "log").points()]
-
-
 def check_roundtrip() -> list[CheckRecord]:
     """Mean -> Seiffert function -> mean reproduces every catalog mean."""
     records = []
     tol = 1e-12
-    pairs = _roundtrip_pairs()
+    pairs = default_pairs(50, 1e-4, 0.99)
     for mean_id in MEAN_IDS:
         original = get_mean(mean_id)
         rebuilt = mean_of_seiffert(seiffert_of_mean(original))
@@ -289,8 +286,8 @@ def check_operator_properties() -> list[CheckRecord]:
     env_margin = math.inf
     for mean_id in MEAN_IDS:
         for z, value in zip(probe_zs, i_values[mean_id]):
-            env_margin = min(env_margin,
-                             value - math.log1p(z), -math.log1p(-z) - value)
+            lower, upper = i_envelope(z)
+            env_margin = min(env_margin, value - lower, upper - value)
     records.append(CheckRecord("09-operator-properties", "I-envelope",
                                 env_margin > -slack, margin=env_margin,
                                 detail=f"worst envelope gap {env_margin:.3e}"))

@@ -1,5 +1,14 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# pytest puts src/ on sys.path (pyproject's `pythonpath`); the CLI and demo
+# subprocesses need it on PYTHONPATH to import the same checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

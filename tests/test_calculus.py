@@ -81,16 +81,30 @@ class TestIntegrate:
             integrate(lambda u: math.sin(50.0 * u), 0.0, 3.0, tol=1e-18)
         assert err.value.best is not None
         assert err.value.error_bound > 0.0
+        assert "did not converge on [0.0, 3.0]" in str(err.value)
+
+    def test_integrand_non_convergence_passes_through(self):
+        inner = NonConvergenceError("inner routine gave up")
+
+        def fn(u):
+            raise inner
+
+        with pytest.raises(NonConvergenceError) as err:
+            integrate(fn, 0.0, 1.0)
+        assert err.value is inner and err.value.best is None
 
     # Each case ran for minutes before integrate bounded its panels: the
     # tolerance halves per level, so siblings far from the hard spot kept
     # bisecting.  A subprocess with a timeout turns a regression into a
-    # failure instead of a hung run.
-    @pytest.mark.parametrize("value, call", [
-        ("abs(u - 1 / 3) ** -0.9", "integrate(f, 0.0, 1.0)"),
-        ("h(u)", "apply_i_operator(f, 0.99999)"),
+    # failure instead of a hung run.  The best estimate must cover the whole
+    # interval, not the subinterval where the work stopped.
+    @pytest.mark.parametrize("value, call, exact, ratio_bounds", [
+        ("abs(u - 1 / 3) ** -0.9", "integrate(f, 0.0, 1.0)",
+         10.0 * ((1.0 / 3.0) ** 0.1 + (2.0 / 3.0) ** 0.1), (0.5, 2.0)),
+        ("h(u)", "apply_i_operator(f, 0.99999)",
+         math.atanh(0.99999), (1.0 - 1e-6, 1.0 + 1e-6)),
     ], ids=["singular", "harmonic-near-one"])
-    def test_panel_budget_ends_the_work(self, value, call):
+    def test_panel_budget_ends_the_work(self, value, call, exact, ratio_bounds):
         code = textwrap.dedent(f"""
             from meanlab import NonConvergenceError, apply_i_operator, integrate
             from meanlab import seiffert_of_mean
@@ -112,6 +126,7 @@ class TestIntegrate:
         evals, best, bound = result.stdout.split()
         assert int(evals) <= 15 * (MAX_PANELS + 2)
         assert math.isfinite(float(best)) and float(bound) > 0.0
+        assert ratio_bounds[0] <= float(best) / exact <= ratio_bounds[1]
 
     def test_gauss_legendre_pairs_match_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(15)
@@ -138,9 +153,11 @@ class TestIOperator:
             assert apply_i_operator(lambda u: u, z) == pytest.approx(z, abs=1e-12)
 
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.1):
+        for bad in (0.0, 1.0, -0.1, math.nan, math.inf):
             with pytest.raises(DomainError):
                 apply_i_operator(lambda u: u, bad)
+            with pytest.raises(DomainError):
+                i_envelope(bad)
 
     @pytest.mark.parametrize("mean_id", MEAN_IDS)
     def test_envelope_and_vanishing_limit(self, mean_id):
@@ -225,6 +242,17 @@ class TestProbeShape:
         assert verdict.classification == "neither"
         a, mid, b = verdict.witness
         assert 0.0 < a < mid < b < 1.0
+
+    def test_nan_is_neither_with_first_nan_triple(self):
+        grid = GridSpec(0.0, 1.0, 11)
+        verdict = probe_shape(lambda u: math.nan, grid)
+        assert verdict.classification == "neither"
+        assert verdict.witness == (0.0, 0.05, 0.1)
+        # convex where defined, NaN from u = 0.5 on: the triple (0.4, 0.45, 0.5)
+        verdict = probe_shape(lambda u: u * u if u < 0.5 else math.nan, grid)
+        assert verdict.classification == "neither"
+        a, _, b = verdict.witness
+        assert a == pytest.approx(0.4) and b == pytest.approx(0.5)
 
     def test_affine_counts_as_convex(self):
         verdict = probe_shape(lambda u: 2.0 * u + 1.0, GridSpec(0.0, 1.0, 51))

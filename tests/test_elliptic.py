@@ -23,6 +23,7 @@ from meanlab import (
     seiffert_of_mean,
     v_mean,
 )
+from meanlab.elliptic import v_seiffert_prime
 
 # scipy's ellipk/ellipe take the parameter m = z^2
 MODULI = [0.05 * k for k in range(0, 19)]  # 0.0 .. 0.90
@@ -141,7 +142,8 @@ class TestEllipKPrime:
         assert ellip_k_prime(z) == pytest.approx(fd, rel=1e-6)
 
     def test_domain(self):
-        for bad in (-0.5, 1.0):
+        # 0 is the special case K'(0) = 0, tested above
+        for bad in (-0.5, 1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 ellip_k_prime(bad)
 
@@ -175,11 +177,10 @@ class TestAgmSeiffert:
             assert 1.0 < d < 1.0 / (1.0 - z)
 
     def test_domain(self):
-        for bad in (0.0, 1.0):
-            with pytest.raises(DomainError):
-                agm_seiffert(bad)
-            with pytest.raises(DomainError):
-                agm_seiffert_prime(bad)
+        for bad in (0.0, 1.0, math.nan, math.inf):
+            for fn in (agm_seiffert, agm_seiffert_prime, v_seiffert_prime):
+                with pytest.raises(DomainError):
+                    fn(bad)
 
 
 class TestCoefficients:

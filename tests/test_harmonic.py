@@ -20,6 +20,7 @@ from meanlab import (
     verify_identity,
 )
 from meanlab.calculus import GridSpec
+from meanlab.harmonic import DEFAULT_CHECK_GRID
 
 
 class TestConstructCandidate:
@@ -91,6 +92,16 @@ class TestCheckRepresentable:
         assert verdict.status == "inconclusive"
         assert verdict.witness_z is None
         assert "failed" in verdict.note
+
+    def test_nan_derivative_is_inconclusive(self):
+        first_nan = next(z for z in DEFAULT_CHECK_GRID.points() if z > 0.5)
+        for derivative, where in ((lambda z: 1.0 if z <= 0.5 else math.nan, first_nan),
+                                  (lambda z: math.nan, DEFAULT_CHECK_GRID.points()[0])):
+            broken = SeiffertFunction(lambda z: z, derivative=derivative, name="nan")
+            verdict = check_representable(broken)
+            assert verdict.status == "inconclusive"
+            assert math.isnan(verdict.margin)
+            assert f"derivative is NaN at z={where!r}" in verdict.note
 
     def test_relabelled_negative_case_stays_falsified(self):
         # TANH's Seiffert function filed under the id "A"

@@ -134,10 +134,9 @@ class TestEnvelopeLemma:
             assert abs(lower - 0.5 * (u + n(u))) <= 1e-12
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            envelope_lemma("arctan", 0.0)
-        with pytest.raises(DomainError):
-            envelope_lemma("arctan", 1.0)
+        for bad in (0.0, 1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=r"u must lie in \(0, 1\)"):
+                envelope_lemma("arctan", bad)
         with pytest.raises(DomainError):
             envelope_lemma("cosine", 0.5)
 

@@ -63,6 +63,13 @@ class TestEvalMean:
     def test_descriptor_is_callable(self):
         assert get_mean("G")(1, 4) == pytest.approx(2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    def test_ordered_core_matches_the_checked_call(self, mean_id):
+        desc = get_mean(mean_id)
+        for lo, hi in [(1.0, 3.0), (0.7, 0.7), (1e-3, 1e3), (0.5, 1.5), (2.0, 2.0000001)]:
+            # bit for bit: equal hex forms
+            assert desc.ordered(lo, hi).hex() == desc(lo, hi).hex() == desc(hi, lo).hex()
+
     def test_catalog_has_all_named_means(self):
         expected = {"A", "G", "H", "C", "R", "L", "P", "T", "NS", "AGM", "V",
                     "SIN", "TAN", "SINH", "TANH", "COSMEAN", "COS2MEAN", "COSHMEAN"}
@@ -148,9 +155,11 @@ class TestSeiffertOfMean:
 
     def test_domain_validation(self):
         f = seiffert_of_mean("G")
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(DomainError):
+        for bad in (0.0, 1.0, -0.5, 2.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=r"z must lie in \(0, 1\)"):
                 f(bad)
+            with pytest.raises(DomainError, match=r"z must lie in \(0, 1\)"):
+                seiffert_bounds(bad)
 
     def test_ordering_reverses(self, z_grid):
         # pointwise H <= G <= L <= P <= A as means, so the Seiffert
@@ -199,6 +208,12 @@ class TestDeform:
         f = seiffert_of_mean("P")
         assert deform(f, 1.0)(0.3) == f(0.3)
         assert deform_mean("P", 1.0)(1, 3) == eval_mean("P", 1, 3)
+
+    @pytest.mark.parametrize("mean_id", ["A", "G", "AGM"])
+    def test_overflowing_pulled_pair_is_rejected(self, mean_id):
+        # x + y overflows, so the pulled pair would be (inf, inf)
+        with pytest.raises(DomainError, match="must be finite"):
+            deform_mean(mean_id, 0.5)(1e308, 1.7e308)
 
     def test_geometric_half(self):
         assert deform_mean("G", 0.5)(1, 3) == pytest.approx(math.sqrt(3.75), rel=1e-15)
