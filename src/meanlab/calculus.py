@@ -10,14 +10,17 @@ z/(1+z) <= f(z) <= z/(1-z) gives the envelope
 
     log(1 + z) <= I(f)(z) <= -log(1 - z).
 
-The quadrature is adaptive bisection over fixed 15-point Gauss-Legendre
-panels; the error estimate on an interval is the difference between the
-one-panel value and the sum of the two half-panel values.
+The quadrature is QUADPACK's globally adaptive QAG scheme with the
+15-point Gauss-Kronrod rule (Piessens et al. 1983): each panel's error
+estimate is the gap between its Kronrod value and the 7-point Gauss value
+embedded in it, and the panel with the largest error is bisected next.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,24 +37,18 @@ __all__ = [
     "probe_shape",
 ]
 
-#: The 15-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs;
-#: the tests pin them bit for bit to leggauss(15).
-_GL_PAIRS = (
-    (-0.9879925180204854, 0.030753241996117203),
-    (-0.9372733924007058, 0.0703660474881084),
-    (-0.8482065834104272, 0.10715922046717141),
-    (-0.7244177313601701, 0.13957067792615444),
-    (-0.5709721726085388, 0.16626920581699398),
-    (-0.3941513470775634, 0.1861610000155622),
-    (-0.20119409399743451, 0.1984314853271116),
-    (0.0, 0.2025782419255613),
-    (0.20119409399743451, 0.1984314853271116),
-    (0.3941513470775634, 0.1861610000155622),
-    (0.5709721726085388, 0.16626920581699398),
-    (0.7244177313601701, 0.13957067792615444),
-    (0.8482065834104272, 0.10715922046717141),
-    (0.9372733924007058, 0.0703660474881084),
-    (0.9879925180204854, 0.030753241996117203),
+#: The 15-point Kronrod rule on [-1, 1] with its embedded 7-point Gauss rule,
+#: QUADPACK's QK15 decimals, one row per node x >= 0 (the rule is symmetric):
+#: (node, Kronrod weight, Gauss weight or 0 where x is not a Gauss node).
+_QK15 = (
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
 )
 
 #: Below this abscissa the integrand of I is replaced by its limit value 1.
@@ -61,12 +58,8 @@ I_OPERATOR_CUTOFF = 1e-14
 #: Default absolute tolerance of `integrate`, and the one `I` runs at.
 QUADRATURE_TOL = 1e-11
 
-#: Bisection levels below which an interval is given up.
-MAX_DEPTH = 60
-
 #: Panels one `integrate` call may evaluate (QUADPACK likewise caps its
-#: subintervals).  Depth alone does not bound the work: the tolerance halves
-#: per level, so below rounding noise every sibling keeps bisecting.
+#: subintervals), so that an error sum stuck in rounding noise ends the work.
 MAX_PANELS = 10_000
 
 
@@ -126,48 +119,26 @@ class ShapeVerdict:
     witness: tuple[float, float, float] | None = None
 
 
-class _Stopped(NonConvergenceError):
-    """Work bound reached; on the way up `best` grows to cover all of [a, b]."""
-
-
-def _panel(fn: Callable[[float], float], a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
+def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """The Kronrod value of fn over [a, b] and its distance from the Gauss value."""
+    center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    total = 0.0
-    for xi, wi in _GL_PAIRS:
-        total += wi * fn(mid + half * xi)
-    return half * total
-
-
-def _adapt(fn, a, b, whole, tol, depth, used):
-    mid = 0.5 * (a + b)
-    left = _panel(fn, a, mid)
-    right = _panel(fn, mid, b)
-    used[0] += 2  # panels spent by this integrate call, shared down the recursion
-    refined = left + right
-    err = abs(refined - whole)
-    if err <= tol:
-        return refined
-    if depth <= 0 or used[0] >= MAX_PANELS:
-        limit = "bisection depth" if depth <= 0 else f"{MAX_PANELS} panels"
-        raise _Stopped(f"{limit} reached on [{a}, {b}], error bound {err!r}", refined, err)
-    half_tol = 0.5 * tol
-    done = None
-    try:
-        done = _adapt(fn, a, mid, left, half_tol, depth - 1, used)
-        return done + _adapt(fn, mid, b, right, half_tol, depth - 1, used)
-    except _Stopped as exc:  # add the finished left half, or the right half's panel
-        exc.best += right if done is None else done
-        raise
+    kronrod = gauss = 0.0
+    for x, wk, wg in _QK15:
+        y = fn(center - half * x) + fn(center + half * x) if x else fn(center)
+        kronrod += wk * y
+        gauss += wg * y
+    return half * kronrod, abs(half * (kronrod - gauss))
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float,
               tol: float = QUADRATURE_TOL) -> float:
-    """Integrate fn over [a, b] to the absolute tolerance tol (estimated).
+    """Integrate fn over [a, b] until the summed error estimate is <= tol.
 
-    Raises NonConvergenceError past MAX_DEPTH bisection levels or
-    MAX_PANELS panels, carrying the best estimate of the integral over
-    [a, b] and the error bound of the subinterval where the work stopped.
+    The panel with the largest estimated error is bisected next.  Raises
+    NonConvergenceError once MAX_PANELS panels are spent or that panel is
+    too narrow to split in floating point (QUADPACK's roundoff limit),
+    carrying the estimate of the integral over [a, b] and its error bound.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -176,22 +147,47 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
         raise DomainError("integration bounds must satisfy a <= b")
     if fa == fb:
         return 0.0
-    whole = _panel(fn, fa, fb)
-    try:
-        return _adapt(fn, fa, fb, whole, tol, MAX_DEPTH, [1])
-    except _Stopped as exc:
-        where = f"quadrature did not converge on [{fa}, {fb}] (best estimate {exc.best!r})"
-        raise NonConvergenceError(f"{where}: {exc}", exc.best, exc.error_bound) from None
+    value, err = _qk15(fn, fa, fb)
+    heap = [(-err, fa, fb, value)]
+    errsum, panels = err, 1
+    # The running error sum cancels, so it is recomputed exactly before it is
+    # accepted; a NaN error is never accepted.
+    while not (errsum <= tol and (errsum := math.fsum(-item[0] for item in heap)) <= tol):
+        neg_err, lo, hi, _ = heap[0]
+        mid = 0.5 * (lo + hi)
+        if panels >= MAX_PANELS or not lo < mid < hi or (
+                hi - lo <= 200.0 * sys.float_info.epsilon * abs(mid)):
+            try:
+                best = math.fsum(item[3] for item in heap)
+            except ValueError:  # panels of +inf and -inf
+                best = math.nan
+            errsum = math.fsum(-item[0] for item in heap)
+            stop = (f"{MAX_PANELS} panels" if panels >= MAX_PANELS
+                    else f"roundoff limit on [{lo!r}, {hi!r}]")
+            raise NonConvergenceError(
+                f"quadrature did not converge on [{fa}, {fb}] (best estimate {best!r}): "
+                f"{stop} reached, error bound {errsum!r}", best, errsum)
+        left, left_err = _qk15(fn, lo, mid)
+        right, right_err = _qk15(fn, mid, hi)
+        heapq.heapreplace(heap, (-left_err, lo, mid, left))
+        heapq.heappush(heap, (-right_err, mid, hi, right))
+        errsum += neg_err + left_err + right_err
+        panels += 2
+    return math.fsum(item[3] for item in heap)
 
 
 def apply_i_operator(f: Callable[[float], float], z: float) -> float:
     """I(f)(z) = integral of f(u)/u over (0, z], patched by f(u)/u -> 1 at 0."""
     fz = check_unit(z)
+    # A SeiffertFunction checks every point, and these lie in (0, z): call
+    # its func.  Imported here because means imports calculus via elliptic.
+    from .means import SeiffertFunction
+    g = f.func if isinstance(f, SeiffertFunction) else f
 
     def integrand(u: float) -> float:
         if u < I_OPERATOR_CUTOFF:
             return 1.0
-        return f(u) / u
+        return g(u) / u
 
     return integrate(integrand, 0.0, fz)
 

@@ -1,6 +1,9 @@
 """Quadrature, the integral operator, derivatives, and shape probing."""
 
+import dataclasses
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meanlab import means
 from meanlab import (
     CATALOG,
     MEAN_IDS,
@@ -24,7 +28,7 @@ from meanlab import (
     probe_shape,
     seiffert_of_mean,
 )
-from meanlab.calculus import _GL_PAIRS, MAX_PANELS, QUADRATURE_TOL
+from meanlab.calculus import _QK15, MAX_PANELS, QUADRATURE_TOL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,9 +83,15 @@ class TestIntegrate:
     def test_non_convergence_carries_best_estimate(self):
         with pytest.raises(NonConvergenceError) as err:
             integrate(lambda u: math.sin(50.0 * u), 0.0, 3.0, tol=1e-18)
-        assert err.value.best is not None
+        # the best estimate covers all of [0, 3], not where the work stopped
+        assert err.value.best == pytest.approx((1.0 - math.cos(150.0)) / 50.0, abs=1e-12)
         assert err.value.error_bound > 0.0
         assert "did not converge on [0.0, 3.0]" in str(err.value)
+
+    def test_infinite_integrand_does_not_converge(self):
+        with pytest.raises(NonConvergenceError) as err:
+            integrate(lambda u: math.copysign(math.inf, u - 0.55), 0.0, 1.0)
+        assert math.isnan(err.value.best)
 
     def test_integrand_non_convergence_passes_through(self):
         inner = NonConvergenceError("inner routine gave up")
@@ -93,17 +103,15 @@ class TestIntegrate:
             integrate(fn, 0.0, 1.0)
         assert err.value is inner and err.value.best is None
 
-    # Each case ran for minutes before integrate bounded its panels: the
-    # tolerance halves per level, so siblings far from the hard spot kept
-    # bisecting.  A subprocess with a timeout turns a regression into a
-    # failure instead of a hung run.  The best estimate must cover the whole
-    # interval, not the subinterval where the work stopped.
+    # Near the singularity the error sum is rounding noise that bisection
+    # cannot lower: the work must end, by NonConvergenceError (a node on 1/3
+    # would give ZeroDivisionError), and a subprocess with a timeout turns a
+    # hang into a failure.  The best estimate must cover the whole interval,
+    # not the subinterval where the work stopped.
     @pytest.mark.parametrize("value, call, exact, ratio_bounds", [
         ("abs(u - 1 / 3) ** -0.9", "integrate(f, 0.0, 1.0)",
          10.0 * ((1.0 / 3.0) ** 0.1 + (2.0 / 3.0) ** 0.1), (0.5, 2.0)),
-        ("h(u)", "apply_i_operator(f, 0.99999)",
-         math.atanh(0.99999), (1.0 - 1e-6, 1.0 + 1e-6)),
-    ], ids=["singular", "harmonic-near-one"])
+    ], ids=["singular"])
     def test_panel_budget_ends_the_work(self, value, call, exact, ratio_bounds):
         code = textwrap.dedent(f"""
             from meanlab import NonConvergenceError, apply_i_operator, integrate
@@ -128,9 +136,42 @@ class TestIntegrate:
         assert math.isfinite(float(best)) and float(bound) > 0.0
         assert ratio_bounds[0] <= float(best) / exact <= ratio_bounds[1]
 
-    def test_gauss_legendre_pairs_match_leggauss(self):
-        nodes, weights = np.polynomial.legendre.leggauss(15)
-        assert _GL_PAIRS == tuple(zip(nodes.tolist(), weights.tolist()))
+    # The integrand of I(f_H) is 1/(1 - u^2), about 5e4 near the top end.
+    @pytest.mark.parametrize("z", [0.9999, 0.99995, 0.99999])
+    def test_harmonic_near_one_converges(self, z):
+        h = seiffert_of_mean("H").func
+        evals = 0
+
+        def f(u):
+            nonlocal evals
+            evals += 1
+            return h(u)
+
+        assert apply_i_operator(f, z) == pytest.approx(math.atanh(z), abs=1e-11)
+        assert evals <= 1_000
+
+    @staticmethod
+    def _rule_on_power(column, k):
+        """A column of _QK15 (1: Kronrod, 2: Gauss) applied to u**k on [-1, 1]."""
+        return math.fsum(row[column] * (row[0] ** k + (-row[0]) ** k if row[0] else 0.0 ** k)
+                         for row in _QK15)
+
+    @pytest.mark.parametrize("column, degree, inexact", [(1, 22, 24), (2, 13, 14)],
+                             ids=["kronrod", "gauss"])
+    def test_rule_exact_to_its_degree(self, column, degree, inexact):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(self._rule_on_power(column, k) - exact) <= 2e-16, k
+        assert abs(self._rule_on_power(column, inexact) - 2.0 / (inexact + 1)) > 1e-9
+
+    def test_gauss_subset_matches_leggauss(self):
+        # QUADPACK's decimals round 1-2 ulp away from numpy's, so not bitwise
+        rows = [(x, wg) for x, _, wg in _QK15 if wg]
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert len(rows) == 4
+        for (x, wg), node, weight in zip(rows, nodes[3:], weights[3:]):
+            assert abs(x - node) <= 2e-16
+            assert abs(wg - weight) <= 1e-15 * weight
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -167,6 +208,36 @@ class TestIOperator:
             value = apply_i_operator(f, z)
             assert low - 2e-11 <= value <= high + 2e-11
         assert abs(apply_i_operator(f, 1e-6)) <= 2e-6
+
+    # Per call of I on a catalog Seiffert function: one 15-point panel where
+    # it is smooth, a few hundred evaluations near the top end.
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    def test_work_per_call(self, mean_id):
+        f = seiffert_of_mean(mean_id)
+        evals = 0
+
+        def counted(u):
+            nonlocal evals
+            evals += 1
+            return f.func(u)
+
+        g = dataclasses.replace(f, func=counted)
+        apply_i_operator(g, 0.5)
+        assert evals == 15
+        evals = 0
+        apply_i_operator(g, 0.999)
+        assert evals <= 500
+
+    def test_unwraps_only_seiffert_functions(self, monkeypatch):
+        # the points of I lie in (0, z), so a SeiffertFunction's per-point
+        # check is skipped; other callables, even ones with a .func, are
+        # called as they are
+        checked = []
+        monkeypatch.setattr(means, "check_unit", lambda z: checked.append(z) or z)
+        apply_i_operator(seiffert_of_mean("G"), 0.5)
+        assert checked == []
+        identity = functools.partial(operator.mul, 1.0)
+        assert apply_i_operator(identity, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_envelope_returns_floats(self):
         assert all(type(v) is float for v in i_envelope(0.5))

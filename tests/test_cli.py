@@ -222,17 +222,27 @@ class TestPairFiles:
         assert "bad row" in result.stderr
         assert result.stdout == ""
 
-    def test_unresolvable_pair_fails_instead_of_hanging(self, tmp_path):
-        # I(f_H) at z ~ 0.99999 ran for minutes before quadrature had a
-        # panel budget; the timeout turns a regression into a failure
+    @staticmethod
+    def _verify_pair(tmp_path, pair):
         pair_file = tmp_path / "pairs.csv"
-        pair_file.write_text("x,y\n1e-5,2\n")
-        result = subprocess.run(
+        pair_file.write_text(f"x,y\n{pair}\n")
+        return subprocess.run(
             [sys.executable, "-m", "meanlab", *PAIR_VERBS["verify"],
              "--pairs", str(pair_file)],
             capture_output=True, text=True, timeout=30)
+
+    def test_unresolvable_pair_fails_instead_of_hanging(self, tmp_path):
+        # I(f_H) at z = 1 - 1e-12 stops at rounding noise near u = 1; the
+        # timeout turns a hang into a failure
+        result = self._verify_pair(tmp_path, "1e-12,2")
         assert result.returncode == 1
         assert "quadrature failed" in result.stdout
+
+    def test_wide_pair_converges(self, tmp_path):
+        # z = 1 - 1e-5 is within reach of the quadrature
+        result = self._verify_pair(tmp_path, "1e-5,2")
+        assert result.returncode == 0, result.stdout
+        assert "quadrature failed" not in result.stdout
 
 
 class TestSuiteCommand:

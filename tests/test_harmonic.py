@@ -140,9 +140,14 @@ class TestVerifyIdentity:
         assert report.passed, f"max deviation {report.max_deviation:.3e}"
 
     def test_quadrature_failure_recorded_per_point(self):
-        report = verify_identity("L", "H", [(1e-5, 2.0)])
+        report = verify_identity("L", "H", [(1e-12, 2.0)])
         assert not report.passed
         assert "quadrature failed" in report.points[0].note
+
+    def test_wide_pair_converges(self):
+        # z = 0.99999: I(f_H) near its singular end is within the budget
+        report = verify_identity("L", "H", [(1e-5, 2.0)])
+        assert report.passed and report.points[0].note == ""
 
     def test_representation_roundtrip_from_scratch(self):
         # represent a mean given only its Seiffert function: build the
