@@ -63,7 +63,10 @@ ORACLE_TOL = 1e-13
 
 def agm(x: float, y: float) -> float:
     """Common limit of the coupled arithmetic/geometric iteration."""
-    a, b = check_pair(x, y)  # a <= b, both positive
+    return _agm(*check_pair(x, y))
+
+
+def _agm(a: float, b: float) -> float:  # AGM's catalog evaluator: 0 < a <= b, unchecked
     while b - a > AGM_RTOL * b:
         a, b = math.sqrt(a * b), 0.5 * (a + b)
         if a > b:
@@ -240,8 +243,10 @@ def v_mean(x: float, y: float) -> float:
     of the AGM Seiffert function.
     """
     lo, hi = check_pair(x, y)
-    if lo == hi:
-        return lo
+    return lo if lo == hi else _v_mean(lo, hi)
+
+
+def _v_mean(lo: float, hi: float) -> float:  # V's catalog evaluator: 0 < lo < hi, unchecked
     z = half_spread(lo, hi)
     harmonic = 2.0 * lo * hi / (lo + hi)
     return 0.5 * math.pi * harmonic / ellip_e(z)

@@ -79,22 +79,35 @@ class RepresentationVerdict:
 
 @dataclass(frozen=True)
 class PairCatalogEntry:
-    """A known (represented, representer) pair of catalog ids."""
+    """A known (represented, representer) pair of catalog ids, with the name and the
+    form ("refined", "forward" or "reversed") of its chain in `meanlab.inequalities`."""
 
     represented: str
     representer: str
+    chain: str
+    form: str
     note: str = ""
 
 
+# Each row's comment says why its chain holds, n the representer's Seiffert function.
 PAIR_CATALOG: tuple[PairCatalogEntry, ...] = (
-    PairCatalogEntry("P", "G", "arcsin is the integral of z/sqrt(1-z^2) over u/u"),
-    PairCatalogEntry("T", "C", "arctan = I(z/(1+z^2))"),
-    PairCatalogEntry("L", "H", "artanh = I(z/(1-z^2))"),
-    PairCatalogEntry("NS", "R", "arsinh = I(z/sqrt(1+z^2))"),
-    PairCatalogEntry("SIN", "COSMEAN", "sin = I(z cos z)"),
-    PairCatalogEntry("TAN", "COS2MEAN", "tan = I(z/cos^2 z)"),
-    PairCatalogEntry("SINH", "COSHMEAN", "sinh = I(z cosh z)"),
-    PairCatalogEntry("AGM", "V", "(2/pi) z K(z) = I((2/pi) z E(z)/(1-z^2))"),
+    # n(u)/u = (1-u^2)^{-1/2} is convex
+    PairCatalogEntry("P", "G", "hh-P-G", "refined", "arcsin = I(z/sqrt(1-z^2))"),
+    # reversed via the arctan envelope lemma
+    PairCatalogEntry("T", "C", "hh-T-C", "reversed", "arctan = I(z/(1+z^2))"),
+    # n(u)/u = 1/(1-u^2) is convex
+    PairCatalogEntry("L", "H", "hh-L-H", "refined", "artanh = I(z/(1-z^2))"),
+    # reversed via the arsinh envelope lemma
+    PairCatalogEntry("NS", "R", "hh-NS-R", "reversed", "arsinh = I(z/sqrt(1+z^2))"),
+    # n(u)/u = cos u is concave
+    PairCatalogEntry("SIN", "COSMEAN", "hh-SIN", "reversed", "sin = I(z cos z)"),
+    # n(u)/u = 1/cos^2 u is convex
+    PairCatalogEntry("TAN", "COS2MEAN", "hh-TAN", "forward", "tan = I(z/cos^2 z)"),
+    # n(u)/u = cosh u is convex
+    PairCatalogEntry("SINH", "COSHMEAN", "hh-SINH", "forward", "sinh = I(z cosh z)"),
+    # n(u)/u = (2/pi) E(u)/(1-u^2) is convex
+    PairCatalogEntry("AGM", "V", "hh-AGM-V", "forward",
+                     "(2/pi) z K(z) = I((2/pi) z E(z)/(1-z^2))"),
 )
 
 #: Catalog means known to admit no harmonic representation.  TANH fails

@@ -19,9 +19,11 @@ closed-form envelope lemmas establish the reversed sandwich anyway:
 whose sides are exactly 2 n(u/2) and (u + n(u))/2 for n the Seiffert
 functions of C and R.
 
-Chains are ordered term lists verified pointwise on pair grids, with
-margins reported relative to the local arithmetic mean (homogeneity makes
-absolute margins meaningless across scales).
+Each row of `PAIR_CATALOG` names its chain and which of these forms it
+takes.  A chain is an ascending tuple of labelled means, verified pointwise
+on pair grids, with each pair checked once and margins reported relative
+to the local arithmetic mean (homogeneity makes absolute margins
+meaningless across scales).
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ._pairs import check_pair, check_unit, pulled_pair
+from ._pairs import check_pair, check_unit, half_spread, pulled_pair
 from .errors import DomainError
-from .harmonic import default_pairs
-from .means import MeanDescriptor, deform_mean, get_mean, relative_half_spread
+from .harmonic import PAIR_CATALOG, PairCatalogEntry, default_pairs
+from .means import MeanDescriptor, deform_mean, get_mean
 
 __all__ = [
     "ChainSpec",
@@ -48,28 +50,29 @@ __all__ = [
     "default_pair_grid",
 ]
 
-Term = tuple[str, Callable[[float, float], float]]
+Term = tuple[str, MeanDescriptor]
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """An ordered (ascending) list of labelled terms to compare pointwise.
+    """An ascending tuple of labelled means, compared pointwise.
 
-    `direction` records why the ordering is expected: "convex" for the
-    forward Hermite-Hadamard case, "reversed" for the concave or
-    lemma-backed reversed case.
+    `direction` is "convex" for the forward Hermite-Hadamard case and
+    "reversed" for the concave or lemma-backed reversed case.
     """
 
     name: str
     terms: tuple[Term, ...]
     direction: str
-    note: str = ""
 
     def __post_init__(self) -> None:
         if len(self.terms) < 2:
             raise DomainError("a chain needs at least two terms")
         if self.direction not in ("convex", "reversed"):
             raise DomainError(f"unknown chain direction {self.direction!r}")
+        for label, term in self.terms:
+            if not isinstance(term, MeanDescriptor):
+                raise DomainError(f"chain term {label!r} is not a MeanDescriptor")
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,19 @@ def _harmonic_of(*values: float) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def _hh_lower(desc: MeanDescriptor, lo: float, hi: float) -> float:
+def _hh_lower(n: MeanDescriptor, lo: float, hi: float) -> float:
     """H(A, N) at an ordered pair; lo itself for equal arguments."""
-    n_value = desc.ordered(lo, hi)
+    n_value = n.ordered(lo, hi)
     return n_value if lo == hi else _harmonic_of(0.5 * (lo + hi), n_value)
+
+
+def _hh_refined(n: MeanDescriptor, lo: float, hi: float) -> float:
+    """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair; lo itself for equal arguments."""
+    n_value = n.ordered(lo, hi)
+    if lo == hi:  # without forming the pulled pair, which overflows at (1e308, 1e308)
+        return n_value
+    n_half = n.ordered(*pulled_pair(lo, hi, 0.5))
+    return _harmonic_of(0.5 * (lo + hi), n_half, n_half, n_value)
 
 
 def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, float]:
@@ -119,20 +131,12 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     desc = get_mean(mean)
     lo, hi = check_pair(x, y)
     lower = _hh_lower(desc, lo, hi)
-    if lo == hi:
-        return lower, lower
-    return lower, desc.ordered(*pulled_pair(lo, hi, 0.5))
+    return lower, (lower if lo == hi else desc.ordered(*pulled_pair(lo, hi, 0.5)))
 
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
-    desc = get_mean(mean)
-    lo, hi = check_pair(x, y)
-    n_value = desc.ordered(lo, hi)
-    if lo == hi:
-        return n_value
-    n_half = desc.ordered(*pulled_pair(lo, hi, 0.5))
-    return _harmonic_of(0.5 * (lo + hi), n_half, n_half, n_value)
+    return _hh_refined(get_mean(mean), *check_pair(x, y))
 
 
 def envelope_lemma(kind: str, u: float) -> tuple[float, float]:
@@ -200,9 +204,10 @@ def run_chain_suite(spec: ChainSpec,
                     tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every chain term on a pair grid and report margins.
 
-    A term failure at a point records the point as skipped and flags it in
-    the report instead of aborting the whole run.  A NaN margin counts as
-    the worst: it makes the minimum margin NaN and fails the chain.
+    Each pair is checked once; the terms see it ordered.  An invalid pair
+    or a term failure at a point records the point as skipped and flags it
+    in the report instead of aborting the whole run.  A NaN margin counts
+    as the worst: it makes the minimum margin NaN and fails the chain.
     """
     if pairs is None:
         pairs = default_pair_grid()
@@ -211,14 +216,15 @@ def run_chain_suite(spec: ChainSpec,
     min_margin = math.inf
     failing = None
     for x, y in pairs:
-        a = 0.5 * (x + y)
         try:
-            values = tuple(fn(x, y) for _, fn in spec.terms)
+            lo, hi = check_pair(x, y)
+            values = tuple(term.ordered(lo, hi) for _, term in spec.terms)
         except Exception as exc:  # noqa: BLE001 - recorded, point skipped
             skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
             continue
+        a = 0.5 * (lo + hi)
         margins = tuple((values[i + 1] - values[i]) / a for i in range(len(values) - 1))
-        record = ChainPointRecord(x, y, relative_half_spread(x, y), values, margins)
+        record = ChainPointRecord(x, y, half_spread(lo, hi), values, margins)
         records.append(record)
         worst = record.worst_margin
         # a NaN replaces any number and is never replaced
@@ -235,64 +241,25 @@ def run_chain_suite(spec: ChainSpec,
 # Built-in chains.
 # --------------------------------------------------------------------------
 
-def _mean_term(mean_id: str) -> Term:
-    return mean_id, get_mean(mean_id)
+def _hh_term(label: str, bound: Callable, n: MeanDescriptor) -> Term:
+    return label, MeanDescriptor(label, label, lambda lo, hi: bound(n, lo, hi))
 
 
-def _half_term(mean_id: str) -> Term:
-    return f"{mean_id}^{{1/2}}", deform_mean(mean_id, 0.5)
+def _chain(entry: PairCatalogEntry) -> ChainSpec:
+    """A catalog pair's Hermite-Hadamard chain; its bounds are derived means, like N^{1/2}."""
+    n = get_mean(entry.representer)
+    half = f"{n.id}^{{1/2}}"
+    lower = _hh_term(f"H(A,{n.id})", _hh_lower, n)
+    upper = half, deform_mean(n, 0.5)
+    mean = entry.represented, get_mean(entry.represented)
+    if entry.form == "reversed":
+        return ChainSpec(entry.chain, (upper, mean, lower), "reversed")
+    refined = ((_hh_term(f"H(A,{half},{half},{n.id})", _hh_refined, n),)
+               if entry.form == "refined" else ())
+    return ChainSpec(entry.chain, (lower, *refined, mean, upper), "convex")
 
 
-def _hh_lower_term(mean_id: str) -> Term:
-    desc = get_mean(mean_id)
-    return f"H(A,{mean_id})", lambda x, y: _hh_lower(desc, *check_pair(x, y))
-
-
-def _hh_refined_term(mean_id: str) -> Term:
-    desc = get_mean(mean_id)
-    return (f"H(A,{mean_id}^{{1/2}},{mean_id}^{{1/2}},{mean_id})",
-            lambda x, y: hh_refined_lower(desc, x, y))
-
-
-def _forward_chain(name: str, represented: str, representer: str,
-                   refined: bool, note: str = "") -> ChainSpec:
-    terms = [_hh_lower_term(representer)]
-    if refined:
-        terms.append(_hh_refined_term(representer))
-    terms.append(_mean_term(represented))
-    terms.append(_half_term(representer))
-    return ChainSpec(name, tuple(terms), "convex", note)
-
-
-def _reversed_chain(name: str, represented: str, representer: str,
-                    note: str = "") -> ChainSpec:
-    terms = (_half_term(representer), _mean_term(represented),
-             _hh_lower_term(representer))
-    return ChainSpec(name, terms, "reversed", note)
-
-
-def _build_chains() -> dict[str, ChainSpec]:
-    return {
-        "hh-P-G": _forward_chain("hh-P-G", "P", "G", refined=True,
-                                 note="n(u)/u = (1-u^2)^{-1/2} is convex"),
-        "hh-T-C": _reversed_chain("hh-T-C", "T", "C",
-                                  note="reversed via the arctan envelope lemma"),
-        "hh-L-H": _forward_chain("hh-L-H", "L", "H", refined=True,
-                                 note="n(u)/u = 1/(1-u^2) is convex"),
-        "hh-NS-R": _reversed_chain("hh-NS-R", "NS", "R",
-                                   note="reversed via the arsinh envelope lemma"),
-        "hh-SIN": _reversed_chain("hh-SIN", "SIN", "COSMEAN",
-                                  note="n(u)/u = cos u is concave"),
-        "hh-TAN": _forward_chain("hh-TAN", "TAN", "COS2MEAN", refined=False,
-                                 note="n(u)/u = 1/cos^2 u is convex"),
-        "hh-SINH": _forward_chain("hh-SINH", "SINH", "COSHMEAN", refined=False,
-                                  note="n(u)/u = cosh u is convex"),
-        "hh-AGM-V": _forward_chain("hh-AGM-V", "AGM", "V", refined=False,
-                                   note="n(u)/u = (2/pi) E(u)/(1-u^2) is convex"),
-    }
-
-
-_CHAINS = _build_chains()
+_CHAINS = {e.chain: _chain(e) for e in PAIR_CATALOG}
 
 CHAIN_NAMES: tuple[str, ...] = tuple(_CHAINS)
 

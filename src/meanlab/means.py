@@ -140,7 +140,8 @@ def _logarithmic(lo: float, hi: float) -> float:
     if z < _LOG_MEAN_SERIES_CUTOFF:
         return 0.5 * (lo + hi) * (1.0 - z * z / 3.0)
     d = hi - lo
-    return d / math.log1p(d / lo)
+    r = d / lo  # overflows only for lo/hi < 2^-1024, where log(hi) - log(lo) cannot cancel
+    return d / (math.log1p(r) if r < math.inf else math.log(hi) - math.log(lo))
 
 
 def _first_seiffert(lo: float, hi: float) -> float:
@@ -207,10 +208,10 @@ _register("T", "second Seiffert mean", _from_spread(math.atan), "|x-y|/(2 arctan
           "concave", lambda z: 1.0 / (1.0 + z * z))
 _register("NS", "Neuman-Sandor mean", _from_spread(math.asinh), "|x-y|/(2 arsinh z)",
           "concave", lambda z: (1.0 + z * z) ** -0.5)
-_register("AGM", "arithmetic-geometric mean", elliptic.agm,
+_register("AGM", "arithmetic-geometric mean", elliptic._agm,
           "Gauss iteration limit; equals pi/(2 K(z)) on (1-z, 1+z)", "convex",
           lambda z: 2.0 / math.pi * elliptic.ellip_e(z) / ((1.0 - z) * (1.0 + z)))
-_register("V", "elliptic harmonic companion of AGM", elliptic.v_mean,
+_register("V", "elliptic harmonic companion of AGM", elliptic._v_mean,
           "pi H(x,y)/(2 E(z))", "convex", elliptic.v_seiffert_prime)
 _register("SIN", "sine mean", _from_spread(math.sin), "|x-y|/(2 sin z)", "concave",
           math.cos)
@@ -288,7 +289,7 @@ def mean_of_seiffert(f: SeiffertFunction | Callable[[float], float],
     def evaluator(lo: float, hi: float) -> float:
         z = half_spread(lo, hi)
         value = f(z)
-        lower, upper = seiffert_bounds(z)
+        lower, upper = z / (1.0 + z), z / (1.0 - z)  # half_spread put z in (0, 1)
         if (value < lower - BOUND_CHECK_TOL * max(1.0, lower)
                 or value > upper + BOUND_CHECK_TOL * max(1.0, upper)):
             raise SeiffertBoundError(z, value, lower, upper)

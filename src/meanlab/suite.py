@@ -36,12 +36,10 @@ __all__ = ["run_full_suite", "SUITE_CHECKS"]
 # Frozen reference values, computed independently at high precision from
 # the defining closed forms.
 _REF_SPOTS = {
-    # chain       (x, y)   expected ascending term values
-    "hh-L-H": ((1.0, 3.0), (12.0 / 7.0, 360.0 / 201.0,
-                            1.8204784532536749, 1.875)),
-    "hh-T-C": ((1.0, 3.0), (2.125, 2.15681043229161, 20.0 / 9.0)),
-    "hh-AGM-V": ((1.0, 3.0), (1.7812447845327388, 1.8636167832448964,
-                              1.9051258377996882)),
+    # chain of   (x, y)   expected ascending term values
+    "L": ((1.0, 3.0), (12.0 / 7.0, 360.0 / 201.0, 1.8204784532536749, 1.875)),
+    "T": ((1.0, 3.0), (2.125, 2.15681043229161, 20.0 / 9.0)),
+    "AGM": ((1.0, 3.0), (1.7812447845327388, 1.8636167832448964, 1.9051258377996882)),
 }
 
 _SECH2_AT_1 = 0.41997434161402606  # 1/cosh(1)^2
@@ -211,9 +209,10 @@ def check_inequality_chains() -> list[CheckRecord]:
                                     margin=report.min_margin,
                                     detail=f"min margin {report.min_margin:.3e} "
                                            f"over {len(report.points)} pairs"))
-    for name, ((x, y), expected) in _REF_SPOTS.items():
-        spec = builtin_chain(name)
-        values = [fn(x, y) for _, fn in spec.terms]
+    chain_of = {e.represented: e.chain for e in PAIR_CATALOG}
+    for mean_id, ((x, y), expected) in _REF_SPOTS.items():
+        name = chain_of[mean_id]
+        values = [term(x, y) for _, term in builtin_chain(name).terms]
         dev = max(abs(v - e) / abs(e) for v, e in zip(values, expected))
         records.append(CheckRecord("07-inequality-chains", f"{name}-spot-values",
                                     dev <= 5e-6, margin=5e-6 - dev, x=x, y=y,

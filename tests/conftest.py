@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,3 +22,21 @@ def z_grid():
 def pair_grid_50():
     """50 pairs at x + y = 2 with log-spaced half-spreads."""
     return [(1.0 - float(z), 1.0 + float(z)) for z in np.geomspace(1e-4, 0.99, 50)]
+
+
+@pytest.fixture
+def check_pair_calls(monkeypatch):
+    """A list that gets one entry per `check_pair` call, from any meanlab module."""
+    from meanlab import _pairs
+
+    calls = []
+    original = _pairs.check_pair
+
+    def counted(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("meanlab") and getattr(module, "check_pair", None) is original:
+            monkeypatch.setattr(module, "check_pair", counted)
+    return calls

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    CATALOG,
     CHAIN_NAMES,
+    PAIR_CATALOG,
     ChainSpec,
     DomainError,
     GridSpec,
+    MeanDescriptor,
     apply_i_operator,
     builtin_chain,
     default_pair_grid,
@@ -179,8 +182,8 @@ class TestChainSuite:
         def broken(x, y):
             raise ValueError("no value here")
 
-        spec = ChainSpec("broken", (("ok", lambda x, y: x), ("bad", broken)),
-                         "convex")
+        spec = ChainSpec("broken", (("ok", MeanDescriptor("ok", "", lambda lo, hi: lo)),
+                                    ("bad", MeanDescriptor("bad", "", broken))), "convex")
         report = run_chain_suite(spec, [(1.0, 3.0)])
         assert not report.passed
         assert report.skipped and "no value here" in report.skipped[0][2]
@@ -190,7 +193,11 @@ class TestChainSuite:
         def top(x, y):
             return math.inf if x > 1e100 else max(x, y)
 
-        spec = ChainSpec("overflow", (("min", min), ("top", top), ("top'", top)), "convex")
+        spec = ChainSpec("overflow", (
+            ("min", MeanDescriptor("min", "", lambda lo, hi: min(lo, hi))),
+            ("top", MeanDescriptor("top", "", lambda lo, hi: top(lo, hi))),
+            ("top'", MeanDescriptor("top'", "", lambda lo, hi: top(lo, hi))),
+        ), "convex")
         pairs = [(1.0, 3.0), (1e200, 1e300), (2.0, 5.0)]
         report = run_chain_suite(spec, pairs)
         assert report.points[1].margins[0] == math.inf
@@ -230,6 +237,50 @@ class TestChainSuite:
         for bad in (11, -1):
             with pytest.raises(DomainError):
                 default_pair_grid(5, rescalings=bad)
+
+
+class TestChainsFromThePairCatalog:
+    """Each chain is built from its PAIR_CATALOG row and checks each pair once."""
+
+    def test_chain_names_follow_the_catalog(self):
+        assert CHAIN_NAMES == tuple(e.chain for e in PAIR_CATALOG)
+
+    @pytest.mark.parametrize("entry", PAIR_CATALOG, ids=lambda e: e.chain)
+    def test_chain_matches_its_row(self, entry):
+        spec = builtin_chain(entry.chain)
+        rep = entry.representer
+        labels = [label for label, _ in spec.terms]
+        assert (entry.represented, CATALOG[entry.represented]) in spec.terms
+        assert f"H(A,{rep})" in labels and f"{rep}^{{1/2}}" in labels
+        assert (f"H(A,{rep}^{{1/2}},{rep}^{{1/2}},{rep})" in labels) == (entry.form == "refined")
+        assert (spec.direction == "reversed") == (entry.form == "reversed")
+
+    @pytest.mark.parametrize("name", CHAIN_NAMES)
+    def test_one_pair_check_per_point(self, name, check_pair_calls):
+        pairs = default_pair_grid(20)
+        report = run_chain_suite(builtin_chain(name), pairs)
+        assert len(report.points) == len(pairs)
+        assert check_pair_calls == pairs
+
+    def test_plain_function_term_is_rejected(self):
+        with pytest.raises(DomainError, match="'max' is not a MeanDescriptor"):
+            ChainSpec("plain", (("A", CATALOG["A"]), ("max", max)), "convex")
+
+    # a_1 of N(1-z, 1+z) = 1 - a_1 z^2 + O(z^4), for each representer N
+    LEADING = {"G": 1 / 2, "C": -1, "H": 1, "R": -1 / 2, "COSMEAN": -1 / 2,
+               "COS2MEAN": 1, "COSHMEAN": 1 / 2, "V": 3 / 4}
+    # the exact limits of margin / z^2, in units of a_1, per chain form
+    KAPPA = {"refined": (1 / 8, 1 / 24, 1 / 12), "forward": (1 / 6, 1 / 12),
+             "reversed": (-1 / 12, -1 / 6)}
+
+    @pytest.mark.parametrize("entry", PAIR_CATALOG, ids=lambda e: e.chain)
+    def test_margins_approach_their_exact_limits(self, entry):
+        z = 1e-3
+        report = run_chain_suite(builtin_chain(entry.chain), [(1.0 - z, 1.0 + z)])
+        b = self.LEADING[entry.representer]
+        limits = [k * b for k in self.KAPPA[entry.form]]
+        ratios = [m / (z * z) for m in report.points[0].margins]
+        assert ratios == pytest.approx(limits, rel=1e-5)
 
 
 class TestGenericSandwich:

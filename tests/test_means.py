@@ -83,6 +83,21 @@ class TestEvalMean:
         assert eval_mean("L", x, y) == pytest.approx(expected, rel=1e-13)
 
 
+    @pytest.mark.parametrize("x, y", [(5e-324, 1.0), (1e-320, 1.0), (5e-324, 1.7e308)])
+    def test_logarithmic_at_extreme_ratios_against_mpmath(self, x, y):
+        # d/lo overflows here; the mean is far from 0
+        with mpmath.workdps(40):
+            expected = float((mpmath.mpf(y) - mpmath.mpf(x))
+                             / (mpmath.log(mpmath.mpf(y)) - mpmath.log(mpmath.mpf(x))))
+        assert eval_mean("L", x, y) == pytest.approx(expected, rel=4e-16)
+
+    @pytest.mark.parametrize("mean_id", ["AGM", "V"])
+    def test_elliptic_evaluators_check_nothing(self, mean_id, check_pair_calls):
+        value = CATALOG[mean_id].ordered(1.0, 3.0)
+        assert check_pair_calls == []
+        assert value == eval_mean(mean_id, 3.0, 1.0)
+
+
 class TestCatalogRows:
     """Each catalog row carries its Seiffert function's shape and derivative."""
 
