@@ -14,6 +14,7 @@ from .calculus import (
     apply_i_operator,
     derivative_estimate,
     i_envelope,
+    i_operator_on,
     integrate,
     probe_shape,
 )
@@ -87,7 +88,7 @@ __all__ = [
     "seiffert_of_mean", "mean_of_seiffert", "deform", "deform_mean",
     # calculus
     "GridSpec", "ShapeVerdict", "integrate", "apply_i_operator", "i_envelope", "derivative_estimate",
-    "probe_shape",
+    "i_operator_on", "probe_shape",
     # elliptic
     "agm", "ellip_k", "ellip_e", "ellip_k_prime",
     "agm_seiffert", "agm_seiffert_prime", "agm_coefficient",

@@ -21,8 +21,9 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 from ._pairs import check_unit
 from .errors import DomainError, NonConvergenceError
@@ -32,6 +33,7 @@ __all__ = [
     "ShapeVerdict",
     "integrate",
     "apply_i_operator",
+    "i_operator_on",
     "i_envelope",
     "derivative_estimate",
     "probe_shape",
@@ -97,6 +99,10 @@ class GridSpec:
             exponents = _uniform(math.log10(start), math.log10(end), self.count)
             return (start, *(10.0 ** e for e in exponents[1:-1]), end)
         return _uniform(start, end, self.count)
+
+    def midpoints(self) -> tuple[float, ...]:
+        """0.5 * (a + b) for each adjacent pair (a, b) of `points()`."""
+        return tuple(0.5 * (a + b) for a, b in pairwise(self.points()))
 
 
 def _uniform(start: float, end: float, count: int) -> tuple[float, ...]:
@@ -178,18 +184,27 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
 
 def apply_i_operator(f: Callable[[float], float], z: float) -> float:
     """I(f)(z) = integral of f(u)/u over (0, z], patched by f(u)/u -> 1 at 0."""
-    fz = check_unit(z)
-    # A SeiffertFunction checks every point, and these lie in (0, z): call
-    # its func.  Imported here because means imports calculus via elliptic.
+    return i_operator_on(f, (z,))[0]
+
+
+def i_operator_on(f: Callable[[float], float], zs: Iterable[float]) -> list[float]:
+    """I(f) at ascending zs in (0, 1), as running sums of the integrals over
+    [z_{k-1}, z_k], z_0 = 0.  Each meets QUADRATURE_TOL / len(zs), so every sum
+    is within QUADRATURE_TOL; at one point this is one `integrate` over (0, z].
+    """
+    points = [check_unit(z) for z in zs]
+    if any(b < a for a, b in pairwise(points)):
+        raise DomainError("points of I must be ascending")
+    # A SeiffertFunction checks every point, and these lie in (0, 1): call its
+    # func.  (Imported here: means imports calculus via elliptic.)
     from .means import SeiffertFunction
     g = f.func if isinstance(f, SeiffertFunction) else f
 
     def integrand(u: float) -> float:
-        if u < I_OPERATOR_CUTOFF:
-            return 1.0
-        return g(u) / u
+        return 1.0 if u < I_OPERATOR_CUTOFF else g(u) / u
 
-    return integrate(integrand, 0.0, fz)
+    return list(accumulate(integrate(integrand, a, b, QUADRATURE_TOL / len(points))
+                           for a, b in pairwise([0.0, *points])))
 
 
 def i_envelope(z: float) -> tuple[float, float]:
@@ -238,11 +253,9 @@ def probe_shape(fn: Callable[[float], float], grid: GridSpec) -> ShapeVerdict:
     values = [fn(x) for x in xs]
     convex_break: tuple[float, float, float] | None = None
     concave_break: tuple[float, float, float] | None = None
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        mid = 0.5 * (a + b)
+    for (a, b), mid, (fa, fb) in zip(pairwise(xs), grid.midpoints(), pairwise(values)):
         fmid = fn(mid)
-        chord = 0.5 * (values[i] + values[i + 1])
+        chord = 0.5 * (fa + fb)
         if math.isnan(fmid) or math.isnan(chord):
             return ShapeVerdict("neither", (a, mid, b))
         if fmid > chord + SHAPE_TOLERANCE and convex_break is None:

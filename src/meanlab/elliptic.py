@@ -63,7 +63,8 @@ ORACLE_TOL = 1e-13
 
 def agm(x: float, y: float) -> float:
     """Common limit of the coupled arithmetic/geometric iteration."""
-    return _agm(*check_pair(x, y))
+    lo, hi = check_pair(x, y)
+    return lo if lo == hi else _agm(lo, hi)
 
 
 def _agm(a: float, b: float) -> float:  # AGM's catalog evaluator: 0 < a <= b, unchecked
@@ -112,7 +113,7 @@ def ellip_k(z: float, method: str = "agm") -> float:
     """
     fz = _check_modulus(z)
     if method == "agm":
-        return math.pi / (2.0 * agm(1.0 - fz, 1.0 + fz))
+        return math.pi / (2.0 * _agm(1.0 - fz, 1.0 + fz))
     if method == "series":
         return _k_series(fz)
     if method == "quadrature":

@@ -15,9 +15,9 @@ from . import elliptic
 from .calculus import (
     QUADRATURE_TOL,
     GridSpec,
-    apply_i_operator,
     derivative_estimate,
     i_envelope,
+    i_operator_on,
     probe_shape,
 )
 from .harmonic import (
@@ -254,18 +254,19 @@ def check_operator_properties() -> list[CheckRecord]:
 
     premise_zs = GridSpec(0.01, 0.99, 99).points()
     probe_zs = [0.1 * k for k in range(1, 10)]
+    probe_grid = GridSpec(0.01, 0.99, 41)
     funcs = {mean_id: seiffert_of_mean(mean_id) for mean_id in MEAN_IDS}
-    values = {mean_id: [f(z) for z in premise_zs]
-              for mean_id, f in funcs.items()}
-    i_values = {mean_id: [apply_i_operator(f, z) for z in probe_zs]
-                for mean_id, f in funcs.items()}
+    values = {mean_id: [f(z) for z in premise_zs] for mean_id, f in funcs.items()}
+    # I of each mean once, as running sums over every point read below
+    i_zs = sorted({1e-6, *probe_zs, *probe_grid.points(), *probe_grid.midpoints()})
+    i_tables = {mean_id: dict(zip(i_zs, i_operator_on(f, i_zs))) for mean_id, f in funcs.items()}
+    i_values = {mean_id: [table[z] for z in probe_zs] for mean_id, table in i_tables.items()}
 
     mono_ok = True
     mono_pairs = 0
     worst_mono = math.inf
-    ids = list(MEAN_IDS)
-    for i, id1 in enumerate(ids):
-        for id2 in ids[i + 1:]:
+    for i, id1 in enumerate(MEAN_IDS):
+        for id2 in MEAN_IDS[i + 1:]:
             if all(a <= b for a, b in zip(values[id1], values[id2])):
                 lo_id, hi_id = id1, id2
             elif all(a >= b for a, b in zip(values[id1], values[id2])):
@@ -291,21 +292,15 @@ def check_operator_properties() -> list[CheckRecord]:
                                 env_margin > -slack, margin=env_margin,
                                 detail=f"worst envelope gap {env_margin:.3e}"))
 
-    vanish_worst = max(abs(apply_i_operator(funcs[mean_id], 1e-6))
-                       for mean_id in MEAN_IDS)
+    vanish_worst = max(abs(table[1e-6]) for table in i_tables.values())
     records.append(CheckRecord("09-operator-properties", "I-vanishes-at-0",
                                 vanish_worst <= 2e-6, margin=2e-6 - vanish_worst,
                                 detail=f"max |I(f)(1e-6)| = {vanish_worst:.3e}"))
 
-    probe_grid = GridSpec(0.01, 0.99, 41)
     for mean_id in MEAN_IDS:
         shape = CATALOG[mean_id].shape
         f = funcs[mean_id]
-
-        def i_of_f(z: float, _f=f) -> float:
-            return apply_i_operator(_f, z)
-
-        verdict = probe_shape(i_of_f, probe_grid)
+        verdict = probe_shape(i_tables[mean_id].__getitem__, probe_grid)
         sandwich = math.inf
         for z, value in zip(probe_zs, i_values[mean_id]):
             if shape == "concave":

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanlab import means
+from meanlab import calculus, means
 from meanlab import (
     CATALOG,
     MEAN_IDS,
@@ -24,6 +24,7 @@ from meanlab import (
     derivative_estimate,
     ellip_e,
     i_envelope,
+    i_operator_on,
     integrate,
     probe_shape,
     seiffert_of_mean,
@@ -266,6 +267,61 @@ class TestIOperator:
                 assert z - 2e-11 <= value <= f(z) + 2e-11
             else:
                 assert f(z) - 2e-11 <= value <= z + 2e-11
+
+
+class TestIOperatorOn:
+    @pytest.mark.parametrize("mean_id, exact", [("H", math.atanh), ("G", math.asin)])
+    def test_running_sums_track_closed_forms(self, mean_id, exact):
+        zs = GridSpec(0.001, 0.999, 60).points()
+        values = i_operator_on(seiffert_of_mean(mean_id), zs)
+        assert len(values) == len(zs)
+        for z, value in zip(zs, values):
+            assert abs(value - exact(z)) <= 1e-11
+
+    @pytest.mark.parametrize("mean_id", ["A", "H", "L", "AGM", "TAN"])
+    def test_one_point_is_one_integrate(self, mean_id):
+        f = seiffert_of_mean(mean_id)
+
+        def integrand(u):
+            return 1.0 if u < calculus.I_OPERATOR_CUTOFF else f.func(u) / u
+
+        for z in (1e-6, 0.3, 0.5, 0.97):
+            assert apply_i_operator(f, z) == integrate(integrand, 0.0, z)
+
+    def test_no_points(self):
+        assert i_operator_on(seiffert_of_mean("A"), []) == []
+
+    def test_repeated_point(self):
+        first, again, last = i_operator_on(seiffert_of_mean("L"), (0.4, 0.4, 0.6))
+        assert first == again < last
+
+    def test_domain(self):
+        f = seiffert_of_mean("A")
+        for bad in ((0.5, 0.4), (0.0, 0.5), (0.5, 1.0), (0.2, math.nan)):
+            with pytest.raises(DomainError):
+                i_operator_on(f, bad)
+
+    def test_operator_check_work(self, monkeypatch):
+        # check 09 evaluates I of each mean once, as running sums: 43,950
+        # integrand evaluations when every point was its own integral
+        from meanlab.suite import check_operator_properties
+
+        evals = 0
+        qk15 = calculus._qk15
+
+        def counted(fn, a, b):
+            def g(u):
+                nonlocal evals
+                evals += 1
+                return fn(u)
+            return qk15(g, a, b)
+
+        monkeypatch.setattr(calculus, "_qk15", counted)
+        check_operator_properties()
+        first, evals = evals, 0
+        check_operator_properties()
+        assert first <= 26_000
+        assert evals == first
 
 
 class TestDerivativeEstimate:

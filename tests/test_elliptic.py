@@ -33,6 +33,10 @@ class TestAgm:
     def test_fixed_point(self):
         assert agm(2.7, 2.7) == 2.7
 
+    @pytest.mark.parametrize("x", [5e-324, 1.0, 1e308, 1.7976931348623157e308])
+    def test_equal_arguments_return_them(self, x):
+        assert agm(x, x) == x
+
     def test_one_two(self):
         assert agm(1, 2) == pytest.approx(1.4567910310469068692, rel=1e-15)
 
@@ -63,6 +67,11 @@ class TestEllipK:
         assert ellip_k(0.5) == pytest.approx(expected, rel=1e-14)
         assert ellip_k(0.5, method="series") == pytest.approx(expected, rel=1e-14)
         assert ellip_k(0.5, method="quadrature") == pytest.approx(expected, rel=1e-12)
+
+    def test_agm_route_checks_no_pair(self, check_pair_calls):
+        # (1 - z, 1 + z) is built here, already ordered and positive
+        ellip_k(0.5)
+        assert check_pair_calls == []
 
     @pytest.mark.parametrize("method", ["agm", "series", "quadrature"])
     def test_against_scipy(self, method):
