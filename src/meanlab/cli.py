@@ -10,32 +10,28 @@ Check-style commands emit a report document (text, JSON or CSV) and exit
 with a diagnostic on stderr.  All floats print with 15 significant
 digits.  The MEANLAB_TOL environment variable overrides the default
 tolerance where a command accepts one.
+
+Each handler imports the library modules it runs, so a process loads
+only what its verb needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from pathlib import Path
 
-from ._pairs import check_pair
-from .calculus import GridSpec
 from .errors import MeanLabError
-from .harmonic import check_representable, construct_candidate, verify_identity
-from .inequalities import CHAIN_NAMES, builtin_chain, run_chain_suite
-from .means import MEAN_IDS, deform_mean, eval_mean, seiffert_of_mean
-from .reporting import FORMATS, CheckRecord, build_report, render_report
-from .suite import run_full_suite
 
 __all__ = ["run_command", "main"]
 
 _DEFAULT_GRID = "0.05:0.95:19"
 
 
-def _parse_zgrid(spec: str) -> GridSpec:
+def _parse_zgrid(spec: str):
+    from .calculus import GridSpec
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise MeanLabError(f"malformed grid {spec!r}, expected start:end:count[:log]")
@@ -54,6 +50,8 @@ def _parse_zgrid(spec: str) -> GridSpec:
 def _parse_pairs(spec: str) -> list[tuple[float, float]] | None:
     if spec == "default":
         return None  # commands fall back to their own defaults
+    import csv
+    from ._pairs import check_pair
     path = Path(spec)
     if not path.exists():
         raise MeanLabError(f"pair file {spec!r} not found")
@@ -101,13 +99,15 @@ def _emit(text: str, out: str | None) -> None:
         raise MeanLabError(f"cannot write report to {out!r}: {exc}") from None
 
 
-def _emit_report(records: list[CheckRecord], fmt: str, out: str | None) -> int:
+def _emit_report(records: list, fmt: str, out: str | None) -> int:
+    from .reporting import build_report, render_report
     doc = build_report(records)
     _emit(render_report(doc, fmt), out)
     return 0 if doc.summary["fail"] == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .means import MEAN_IDS
     parser = argparse.ArgumentParser(
         prog="meanlab",
         description="Evaluate bivariate means and verify their Seiffert-function "
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     ineq_sub = p_ineq.add_subparsers(dest="ineq_command", required=True)
     p_run = ineq_sub.add_parser("run", help="run one built-in chain on a pair grid")
     p_run.add_argument("--chain", required=True, metavar="NAME",
-                       help=f"one of: {', '.join(CHAIN_NAMES)}")
+                       help="a built-in chain; an unknown name lists them all")
     p_run.add_argument("--pairs", default="default", metavar="default|FILE.csv")
     p_run.add_argument("--tol", type=float, default=None)
     p_run.set_defaults(handler=_cmd_ineq_run)
@@ -179,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    from .reporting import FORMATS
     parser.add_argument("--format", choices=FORMATS, default="text")
     parser.add_argument("--out", default=None, metavar="PATH")
 
@@ -188,11 +189,13 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_eval(args) -> int:
+    from .means import eval_mean
     print(_fmt(eval_mean(args.mean, args.x, args.y)))
     return 0
 
 
 def _cmd_seiffert(args) -> int:
+    from .means import seiffert_of_mean
     f = seiffert_of_mean(args.mean)
     if args.z is not None:
         print(_fmt(f(args.z)))
@@ -203,11 +206,15 @@ def _cmd_seiffert(args) -> int:
 
 
 def _cmd_deform(args) -> int:
+    from .means import deform_mean
     print(_fmt(deform_mean(args.mean, args.t)(args.x, args.y)))
     return 0
 
 
 def _cmd_harmonic_check(args) -> int:
+    from .harmonic import check_representable
+    from .means import seiffert_of_mean
+    from .reporting import CheckRecord
     f = seiffert_of_mean(args.mean)
     if args.zgrid is not None:
         verdict = check_representable(f, _parse_zgrid(args.zgrid))
@@ -223,6 +230,8 @@ def _cmd_harmonic_check(args) -> int:
 
 
 def _cmd_harmonic_construct(args) -> int:
+    from .harmonic import construct_candidate
+    from .means import seiffert_of_mean
     candidate = construct_candidate(seiffert_of_mean(args.mean))
     for z in _parse_zgrid(args.zgrid).points():
         print(f"{_fmt(z)} {_fmt(candidate(z))}")
@@ -230,6 +239,8 @@ def _cmd_harmonic_construct(args) -> int:
 
 
 def _cmd_harmonic_verify(args) -> int:
+    from .harmonic import verify_identity
+    from .reporting import CheckRecord
     tol = _default_tol(args.tol, 1e-9)
     report = verify_identity(args.mean, args.representer,
                              _parse_pairs(args.pairs), tol=tol)
@@ -246,6 +257,8 @@ def _cmd_harmonic_verify(args) -> int:
 
 
 def _cmd_ineq_run(args) -> int:
+    from .inequalities import builtin_chain, run_chain_suite
+    from .reporting import CheckRecord
     tol = _default_tol(args.tol, 1e-10)
     spec = builtin_chain(args.chain)
     report = run_chain_suite(spec, _parse_pairs(args.pairs), tol=tol)
@@ -266,6 +279,7 @@ def _cmd_ineq_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import run_full_suite
     if not args.all:
         raise MeanLabError("nothing selected; pass --all to run the suite")
     return _emit_report(run_full_suite(), args.format, args.out)

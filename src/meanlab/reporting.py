@@ -4,17 +4,16 @@ A report is deterministic apart from its timestamp: records are ordered
 by check name (then insertion order), floats are serialized with repr
 precision, and the summary counts are derived from the records.  JSON has
 no infinities or NaN, so the JSON report writes those as the strings the
-CSV cell holds ("inf", "-inf", "nan").
+CSV cell holds ("inf", "-inf", "nan").  `build_report` and the renderers
+import datetime, json and csv where they run, so a command that needs
+only FORMATS does not load them.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 __all__ = [
     "CheckRecord",
@@ -64,6 +63,7 @@ class ReportDocument:
 
 def build_report(records: list[CheckRecord]) -> ReportDocument:
     """Assemble a document: records sorted by check name, tallied summary."""
+    from datetime import datetime, timezone
     ordered = tuple(sorted(records, key=lambda r: r.check))  # stable within a check
     n_pass = sum(1 for r in ordered if r.passed)
     return ReportDocument(
@@ -76,6 +76,7 @@ def build_report(records: list[CheckRecord]) -> ReportDocument:
 
 
 def to_json(doc: ReportDocument) -> str:
+    import json
     payload = {
         "tool": doc.tool,
         "version": doc.version,
@@ -107,6 +108,7 @@ def _json_number(value: float | None) -> float | str | None:
 
 
 def to_csv(doc: ReportDocument) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -26,9 +28,18 @@ def pair_grid_50():
 
 @pytest.fixture
 def check_pair_calls(monkeypatch):
-    """A list that gets one entry per `check_pair` call, from any meanlab module."""
+    """A list that gets one entry per `check_pair` call, from any meanlab module.
+
+    Every submodule is imported first: `import meanlab` loads them lazily, and
+    one first imported while the patch is on would keep this test's counter,
+    so its calls would escape the counts of later tests.
+    """
+    import meanlab
     from meanlab import _pairs
 
+    for info in pkgutil.iter_modules(meanlab.__path__):
+        if info.name != "__main__":  # importing it would run the CLI
+            importlib.import_module(f"meanlab.{info.name}")
     calls = []
     original = _pairs.check_pair
 

@@ -44,6 +44,13 @@ class TestEval:
         assert result.returncode == 2
         assert "unknown mean id" in result.stderr
 
+    def test_agm_underflow_is_an_error(self):
+        # a*b underflows to 0; the AGM loop stops at its step cap
+        result = run_cli("eval", "--mean", "AGM", "1e-300", "1e-200")
+        assert result.returncode == 2
+        assert "AGM not converged" in result.stderr
+        assert result.stdout == ""
+
 
 class TestSeiffertAndDeform:
     def test_single_abscissa(self):
@@ -270,3 +277,28 @@ def test_cli_imports_without_numpy():
     code = "import meanlab, meanlab.cli, sys; assert 'numpy' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+#: Verbs run in one process, and modules that process must not have loaded.
+COLD_STARTS = [
+    ([["eval", "--mean", "P", "1", "3"],
+      ["seiffert", "--mean", "AGM", "--z", "0.5"],
+      ["seiffert", "--mean", "L", "--zgrid", "0.1:0.9:3:log"],
+      ["deform", "--mean", "C", "--t", "0.5", "1", "3"]],
+     ["meanlab.harmonic", "meanlab.inequalities", "meanlab.suite", "fractions",
+      "json", "csv", "datetime"]),
+    ([["harmonic", "check", "--mean", "SIN", "--format", "csv"]],
+     ["meanlab.inequalities", "meanlab.suite"]),
+]
+
+
+@pytest.mark.parametrize("argvs, absent", COLD_STARTS, ids=["light-verbs", "harmonic-check"])
+def test_cold_start_loads_only_what_its_verb_runs(argvs, absent):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys\n"
+            "from meanlab.cli import run_command\n"
+            f"codes = [run_command(argv) for argv in {argvs!r}]\n"
+            f"print(codes, [m for m in {absent!r} if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"

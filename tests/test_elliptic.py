@@ -1,6 +1,7 @@
 """AGM iteration, complete elliptic integrals, and the coefficient series."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,13 @@ from meanlab import (
     ellip_e,
     ellip_k,
     ellip_k_prime,
+    eval_mean,
     integrate,
     seiffert_bounds,
     seiffert_of_mean,
     v_mean,
 )
-from meanlab.elliptic import v_seiffert_prime
+from meanlab.elliptic import AGM_MAX_STEPS, AGM_RTOL, v_seiffert_prime
 
 # scipy's ellipk/ellipe take the parameter m = z^2
 MODULI = [0.05 * k for k in range(0, 19)]  # 0.0 .. 0.90
@@ -55,6 +57,76 @@ class TestAgm:
             agm(0, 1)
         with pytest.raises(DomainError):
             agm(-1, 2)
+
+
+def uncapped_agm(a, b):
+    """(value, steps) of the AGM loop without a step cap: the reference for kept bits."""
+    steps = 0
+    while b - a > AGM_RTOL * b:
+        a, b = math.sqrt(a * b), 0.5 * (a + b)
+        if a > b:
+            a, b = b, a
+        steps += 1
+    return 0.5 * (a + b), steps
+
+
+def uncapped_ellip_e(z):
+    """ellip_e's AGM route without a step cap: the reference for kept bits."""
+    a, b = 1.0, math.sqrt((1.0 - z) * (1.0 + z))
+    s, pow2 = 0.5 * z * z, 0.5
+    while a - b > AGM_RTOL * a:
+        c = 0.5 * (a - b)
+        pow2 *= 2.0
+        s += pow2 * c * c
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b) * (1.0 - s)
+
+
+def log_uniform_pairs(seed, count, exponents):
+    """Ordered pairs of distinct 2**u, u uniform on `exponents`, finite and positive."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        lo, hi = sorted(2.0 ** rng.uniform(*exponents) for _ in range(2))
+        if 0.0 < lo < hi < math.inf:
+            pairs.append((lo, hi))
+    return pairs
+
+
+class TestAgmStepCap:
+    #: Pairs whose product a*b is subnormal: the longest runs that still end
+    #: between the arguments (49 and 50 steps).
+    LONGEST_RUNS = [(3.3715159654063397e-163, 1.8912304686331676e-161),
+                    (1.9635243738920485e-163, 1.2986465901091082e-161)]
+
+    def test_every_pair_that_converged_keeps_its_bits(self):
+        pairs = (log_uniform_pairs(11, 2000, (-1074, 1024))
+                 + log_uniform_pairs(12, 2000, (-560, -480)) + self.LONGEST_RUNS)
+        stopped = 0
+        for lo, hi in pairs:
+            before, steps = uncapped_agm(lo, hi)
+            if steps > AGM_MAX_STEPS:
+                assert before == 0.0  # only a run whose a*b underflowed gets this far
+                with pytest.raises(NonConvergenceError):
+                    eval_mean("AGM", lo, hi)
+                stopped += 1
+            else:
+                assert eval_mean("AGM", lo, hi) == before, (lo, hi)
+        assert 0 < stopped < len(pairs) // 2
+
+    def test_underflowing_pair_stops_at_the_cap(self):
+        with pytest.raises(NonConvergenceError) as err:
+            eval_mean("AGM", 1e-300, 1e-200)
+        assert f"after {AGM_MAX_STEPS} steps" in str(err.value)
+        assert 0.0 <= err.value.best <= 1e-200
+
+    def test_overflowing_pair_still_returns_inf(self):
+        assert eval_mean("AGM", 1e308, 1.7e308) == math.inf
+
+    def test_ellip_e_keeps_its_bits(self):
+        zs = [k / 1000 for k in range(1, 1000)] + [1.0 - 2.0 ** -k for k in range(1, 54)]
+        for z in zs:
+            assert ellip_e(z) == uncapped_ellip_e(z), z
 
 
 class TestEllipK:
