@@ -8,11 +8,11 @@ hands the AGM mean its harmonic representation V = pi H / (2 E(z)).
 """
 
 import math
+from fractions import Fraction
 
 from meanlab import (
     agm,
     agm_coefficient,
-    agm_coefficient_exact,
     agm_coefficient_ratio,
     agm_seiffert,
     agm_seiffert_prime,
@@ -55,7 +55,7 @@ for z in (0.3, 0.6, 0.9):
 
 print()
 print("series coefficients of the AGM Seiffert derivative:")
-print(f"  c_1 = {agm_coefficient(1)} (exactly {agm_coefficient_exact(1)})")
+print(f"  c_1 = {agm_coefficient(1)} (exactly {Fraction(agm_coefficient(1))})")
 print(f"  c_2/c_1 = {agm_coefficient_ratio(1)}")
 for m in (1, 2, 5, 10, 100, 1000):
     print(f"  c_{m:<4d} = {agm_coefficient(m):.15f}  (< 1)")

@@ -22,7 +22,7 @@ _EXPORTS = {
                  "derivative_estimate", "i_operator_on", "probe_shape"),
     "elliptic": ("agm", "ellip_k", "ellip_e", "ellip_k_prime",
                  "agm_seiffert", "agm_seiffert_prime", "agm_coefficient",
-                 "agm_coefficient_exact", "agm_coefficient_ratio", "v_mean"),
+                 "agm_coefficient_ratio", "v_mean"),
     "harmonic": ("RepresentationVerdict", "PairCatalogEntry", "PAIR_CATALOG",
                  "NON_REPRESENTABLE_IDS", "construct_candidate", "check_representable",
                  "verify_identity", "log_envelope_check", "default_pairs",

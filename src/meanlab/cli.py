@@ -239,9 +239,9 @@ def _cmd_harmonic_construct(args) -> int:
 
 
 def _cmd_harmonic_verify(args) -> int:
-    from .harmonic import verify_identity
+    from .harmonic import IDENTITY_TOL, verify_identity
     from .reporting import CheckRecord
-    tol = _default_tol(args.tol, 1e-9)
+    tol = _default_tol(args.tol, IDENTITY_TOL)
     report = verify_identity(args.mean, args.representer,
                              _parse_pairs(args.pairs), tol=tol)
     records = [
@@ -257,9 +257,9 @@ def _cmd_harmonic_verify(args) -> int:
 
 
 def _cmd_ineq_run(args) -> int:
-    from .inequalities import builtin_chain, run_chain_suite
+    from .inequalities import CHAIN_TOL, builtin_chain, run_chain_suite
     from .reporting import CheckRecord
-    tol = _default_tol(args.tol, 1e-10)
+    tol = _default_tol(args.tol, CHAIN_TOL)
     spec = builtin_chain(args.chain)
     report = run_chain_suite(spec, _parse_pairs(args.pairs), tol=tol)
     labels = " <= ".join(label for label, _ in spec.terms)

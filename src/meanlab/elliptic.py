@@ -10,19 +10,20 @@ K.  Three independent routes to K are kept on purpose (AGM, power series,
 adaptive quadrature) so the test suite can cross-validate them.
 
 The Seiffert function of the AGM mean is f(z) = (2/pi) z K(z); its
-derivative has the power series 1 + sum c_m z^(2m) with
+derivative has the power series sum over m >= 0 of c_m z^(2m) with
 
     c_m = (2m + 1) [(2m-1)!! / (2m)!!]^2,
 
-computed here through the exact ratio c_{m+1}/c_m = (2m+1)(2m+3)/(2m+2)^2
-(direct double factorials overflow beyond m of about 150).  Since c_1 = 3/4
-and the ratio is below 1, every c_m < 1, which gives the derivative bounds
-1 < f'(z) < 1/(1-z).
+computed here through one exact ratio c_m/c_{m-1} = (2m-1)(2m+1)/(2m)^2
+from c_0 = 1 (direct double factorials overflow beyond m of about 150).
+The ratio is below 1, so c_1 = 3/4 and every later c_m < 1, which gives
+the derivative bounds 1 < f'(z) < 1/(1-z).
 """
 
 from __future__ import annotations
 
 import math
+from operator import truediv
 
 from ._pairs import check_pair, check_unit, half_spread
 from .calculus import integrate
@@ -36,7 +37,6 @@ __all__ = [
     "agm_seiffert",
     "agm_seiffert_prime",
     "agm_coefficient",
-    "agm_coefficient_exact",
     "agm_coefficient_ratio",
     "v_mean",
     "v_seiffert_prime",
@@ -96,24 +96,40 @@ def _check_modulus(z: float) -> float:
     return fz
 
 
-def _k_series(z: float) -> float:
+def _power_series(name: str, ratio, z: float, scale: float = 1.0) -> float:
+    """scale * (1 + t_1 + t_2 + ...) with t_m = t_{m-1} ratio(m) z^2.
+
+    Each ratio(m) lies in (0, 1), so the tail after t_m is below t_m / (1 - z^2).
+    """
     z2 = z * z
-    total = 1.0
-    term = 1.0
+    total = term = 1.0
     m = 0
     while True:
         m += 1
-        ratio = (2.0 * m - 1.0) / (2.0 * m)
-        term *= ratio * ratio * z2
+        term *= ratio(m) * z2
         total += term
         if term < SERIES_TERM_TOL:
-            return 0.5 * math.pi * total
+            return scale * total
         if m >= SERIES_MAX_TERMS:
-            raise NonConvergenceError(
-                f"K series not converged after {m} terms at z={z!r}",
-                best=0.5 * math.pi * total,
-                error_bound=term / (1.0 - z2),
-            )
+            raise NonConvergenceError(f"{name} not converged after {m} terms at z={z!r}",
+                                      best=scale * total,
+                                      error_bound=scale * term / (1.0 - z2))
+
+
+def _k_ratio(m: int) -> float:  # ((2m-1)/(2m))^2, K's term ratio
+    q = (2.0 * m - 1.0) / (2.0 * m)
+    return q * q
+
+
+def _oracle(g, z: float) -> float:
+    """Integral over [0, pi/2] of g(1 - z^2 sin^2 phi) at ORACLE_TOL."""
+    z2 = z * z
+
+    def integrand(phi: float) -> float:
+        s = math.sin(phi)
+        return g(1.0 - z2 * s * s)
+
+    return integrate(integrand, 0.0, 0.5 * math.pi, ORACLE_TOL)
 
 
 def ellip_k(z: float, method: str = "agm") -> float:
@@ -127,15 +143,9 @@ def ellip_k(z: float, method: str = "agm") -> float:
     if method == "agm":
         return math.pi / (2.0 * _agm(1.0 - fz, 1.0 + fz))
     if method == "series":
-        return _k_series(fz)
+        return _power_series("K series", _k_ratio, fz, 0.5 * math.pi)
     if method == "quadrature":
-        z2 = fz * fz
-
-        def integrand(phi: float) -> float:
-            s = math.sin(phi)
-            return 1.0 / math.sqrt(1.0 - z2 * s * s)
-
-        return integrate(integrand, 0.0, 0.5 * math.pi, ORACLE_TOL)
+        return _oracle(lambda w: 1.0 / math.sqrt(w), fz)
     raise ValueError(f"unknown method {method!r}, expected one of {K_METHODS}")
 
 
@@ -171,13 +181,7 @@ def ellip_e(z: float, method: str = "agm") -> float:
         k = math.pi / (a + b)  # pi / (2 * agm)
         return k * (1.0 - s)
     if method == "quadrature":
-        z2 = fz * fz
-
-        def integrand(phi: float) -> float:
-            s = math.sin(phi)
-            return math.sqrt(1.0 - z2 * s * s)
-
-        return integrate(integrand, 0.0, 0.5 * math.pi, ORACLE_TOL)
+        return _oracle(math.sqrt, fz)
     raise ValueError(f"unknown method {method!r}, expected 'agm' or 'quadrature'")
 
 
@@ -200,33 +204,27 @@ def agm_seiffert(z: float) -> float:
     return 2.0 / math.pi * fz * ellip_k(fz)
 
 
+def _c_ratio(m: int) -> tuple[int, int]:
+    """c_m / c_{m-1} = (2m-1)(2m+1) / (2m)^2 as (numerator, denominator)."""
+    return (2 * m - 1) * (2 * m + 1), 4 * m * m
+
+
 def agm_coefficient(m: int) -> float:
     """c_m = (2m+1) [(2m-1)!!/(2m)!!]^2 as a float, via the ratio recurrence."""
     if m < 1:
         raise DomainError("coefficient index starts at 1")
-    c = 0.75
-    for j in range(1, m):
-        c *= (2.0 * j + 1.0) * (2.0 * j + 3.0) / ((2.0 * j + 2.0) ** 2)
-    return c
-
-
-def agm_coefficient_exact(m: int):
-    """c_m as an exact Fraction, for the strict c_m < 1 checks."""
-    import fractions  # lazily, for the CLI; a local `from` import costs ~2 us
-    if m < 1:
-        raise DomainError("coefficient index starts at 1")
-    c = fractions.Fraction(3, 4)
-    for j in range(1, m):
-        c *= agm_coefficient_ratio(j)
+    c = 1.0
+    for j in range(1, m + 1):
+        c *= truediv(*_c_ratio(j))
     return c
 
 
 def agm_coefficient_ratio(m: int):
     """Exact ratio c_{m+1} / c_m = (2m+1)(2m+3) / (2m+2)^2, a Fraction."""
-    import fractions
+    import fractions  # lazily, for the CLI; a local `from` import costs ~2 us
     if m < 1:
         raise DomainError("coefficient index starts at 1")
-    return fractions.Fraction((2 * m + 1) * (2 * m + 3), (2 * m + 2) ** 2)
+    return fractions.Fraction(*_c_ratio(m + 1))
 
 
 def agm_seiffert_prime(z: float) -> float:
@@ -235,23 +233,8 @@ def agm_seiffert_prime(z: float) -> float:
     Equals (2/pi) E(z) / (1 - z^2) in closed form; the series route is
     kept independent so the two can check each other.
     """
-    fz = check_unit(z)
-    z2 = fz * fz
-    total = 1.0
-    term = 0.75 * z2  # c_1 z^2
-    m = 1
-    while True:
-        total += term
-        if term < SERIES_TERM_TOL:
-            return total
-        if m >= SERIES_MAX_TERMS:
-            raise NonConvergenceError(
-                f"derivative series not converged after {m} terms at z={z!r}",
-                best=total,
-                error_bound=term / (1.0 - z2),
-            )
-        term *= (2.0 * m + 1.0) * (2.0 * m + 3.0) / ((2.0 * m + 2.0) ** 2) * z2
-        m += 1
+    return _power_series("derivative series", lambda m: truediv(*_c_ratio(m)),
+                         check_unit(z))
 
 
 def v_mean(x: float, y: float) -> float:

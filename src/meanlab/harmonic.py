@@ -55,6 +55,9 @@ __all__ = [
 #: Tie tolerance for the derivative band check.
 REPRESENTABILITY_TOL = 1e-12
 
+#: Default bound on both deviations that verify_identity reports.
+IDENTITY_TOL = 1e-9
+
 #: Default probe grid for representability: dense, strictly inside (0, 1),
 #: and containing z = 0.9 and the near-1 region where the known negative
 #: cases break down.
@@ -200,7 +203,7 @@ class IdentityReport:
 def verify_identity(represented: str | MeanDescriptor,
                     representer: str | MeanDescriptor,
                     points: list[tuple[float, float]] | None = None,
-                    tol: float = 1e-9) -> IdentityReport:
+                    tol: float = IDENTITY_TOL) -> IdentityReport:
     """Check 1/M = integral dt/N^{t} at each pair, plus m(z) vs I(n)(z).
 
     Quadrature failures are recorded per point rather than raised.

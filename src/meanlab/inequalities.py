@@ -180,19 +180,16 @@ def _log_uniform(lo: float, hi: float, r: float) -> float:
     return math.exp(log_lo + (math.log(hi) - log_lo) * r)
 
 
-def default_pair_grid(count: int = 100, z_min: float = 1e-4, z_max: float = 0.999,
-                      rescalings: int = 10) -> list[tuple[float, float]]:
-    """Pairs with log-spaced half-spreads at x + y = 2, plus rescaled extras.
+def default_pair_grid(count: int = 100, z_min: float = 1e-4,
+                      z_max: float = 0.999) -> list[tuple[float, float]]:
+    """Pairs with log-spaced half-spreads at x + y = 2, plus 10 rescaled extras.
 
     Homogeneity makes z the only true degree of freedom; the rescalings
     (log-uniform z in [z_min, z_max] and scale in [1e-3, 1e3], from fixed
-    draws) exercise exactly that.  At most 10 rescalings are available.
+    draws) exercise exactly that.
     """
-    if not 0 <= rescalings <= len(_RESCALING_DRAWS):
-        raise DomainError(f"rescalings must lie in [0, {len(_RESCALING_DRAWS)}], "
-                          f"got {rescalings!r}")
     pairs = default_pairs(count, z_min, z_max)
-    for rz, rs in _RESCALING_DRAWS[:rescalings]:
+    for rz, rs in _RESCALING_DRAWS:
         z = _log_uniform(z_min, z_max, rz)
         scale = _log_uniform(1e-3, 1e3, rs)
         pairs.append((scale * (1.0 - z), scale * (1.0 + z)))

@@ -121,7 +121,9 @@ def _harmonic(lo: float, hi: float) -> float:
 
 
 def _contraharmonic(lo: float, hi: float) -> float:
-    return (lo * lo + hi * hi) / (lo + hi)
+    c = (lo * lo + hi * hi) / (lo + hi)
+    # past hi/lo of about 2^53 the quotient can round above hi; an overflow stays inf
+    return hi if hi < c < math.inf else c
 
 
 def _root_mean_square(lo: float, hi: float) -> float:

@@ -19,7 +19,6 @@ from meanlab import (
     PAIR_CATALOG,
     agm,
     agm_coefficient,
-    agm_coefficient_exact,
     agm_coefficient_ratio,
     builtin_chain,
     check_representable,
@@ -119,18 +118,26 @@ def test_criterion_05_elliptic_cross_validation():
 
 
 def test_criterion_06_coefficient_facts():
-    c1_ok = agm_coefficient(1) == 0.75 and agm_coefficient_exact(1) == Fraction(3, 4)
+    c1_ok = Fraction(agm_coefficient(1)) == Fraction(3, 4)
     ratio_ok = True
+    float_ok = True
     below_one = True
     c = Fraction(3, 4)
     for m in range(1, 1001):
+        if m <= 60:  # the ratio walk against (2m+1) ((2m)! / (4^m (m!)^2))^2
+            direct = (2 * m + 1) * Fraction(math.factorial(2 * m),
+                                            4 ** m * math.factorial(m) ** 2) ** 2
+            ratio_ok = ratio_ok and c == direct
+            float_ok = float_ok and math.isclose(agm_coefficient(m), float(direct),
+                                                 rel_tol=1e-13)
         expected = Fraction((2 * m + 1) * (2 * m + 3), (2 * m + 2) ** 2)
         if agm_coefficient_ratio(m) != expected:
             ratio_ok = False
         below_one = below_one and c < 1
-        c *= expected
-    report(6, "c1 = 3/4 exactly; ratio identity exact for m <= 1000; "
-              "hence every c_m < 1", c1_ok and ratio_ok and below_one)
+        c *= agm_coefficient_ratio(m)
+    report(6, "c1 = 3/4 exactly; ratio identity exact for m <= 1000 and the ratio "
+              "walk equal to the factorial form for m <= 60 (floats within 1e-13); "
+              "hence every c_m < 1", c1_ok and ratio_ok and float_ok and below_one)
 
 
 def test_criterion_07_inequality_chains():

@@ -12,7 +12,6 @@ from meanlab import (
     NonConvergenceError,
     agm,
     agm_coefficient,
-    agm_coefficient_exact,
     agm_coefficient_ratio,
     agm_seiffert,
     agm_seiffert_prime,
@@ -180,6 +179,12 @@ class TestEllipK:
             ellip_k(0.999, method="series")
         assert err.value.best is not None
 
+    @pytest.mark.parametrize("z", [0.999, 0.9993, 0.9995, 0.9999])
+    def test_exhausted_series_bounds_its_error_in_k_units(self, z):
+        with pytest.raises(NonConvergenceError) as err:
+            ellip_k(z, method="series")
+        assert abs(ellip_k(z) - err.value.best) <= err.value.error_bound
+
 
 class TestEllipE:
     def test_endpoints_exact(self):
@@ -257,6 +262,13 @@ class TestAgmSeiffert:
             d = agm_seiffert_prime(z)
             assert 1.0 < d < 1.0 / (1.0 - z)
 
+    def test_exhausted_derivative_series_bounds_its_error(self):
+        z = 0.999
+        with pytest.raises(NonConvergenceError) as err:
+            agm_seiffert_prime(z)
+        closed_form = 2.0 / math.pi * ellip_e(z) / (1.0 - z * z)
+        assert abs(closed_form - err.value.best) <= err.value.error_bound
+
     def test_domain(self):
         for bad in (0.0, 1.0, math.nan, math.inf):
             for fn in (agm_seiffert, agm_seiffert_prime, v_seiffert_prime):
@@ -264,24 +276,37 @@ class TestAgmSeiffert:
                     fn(bad)
 
 
+def factorial_form(m):
+    """c_m = (2m+1) ((2m-1)!!/(2m)!!)^2 with (2m-1)!! = (2m)!/(2^m m!), exactly."""
+    semi = Fraction(math.factorial(2 * m),
+                    2 ** m * math.factorial(m)) / (2 ** m * math.factorial(m))
+    return (2 * m + 1) * semi ** 2
+
+
+def ratio_walk(m):
+    """c_m from c_1 = 3/4 through the exact ratios c_{j+1}/c_j."""
+    c = Fraction(3, 4)
+    for j in range(1, m):
+        c *= agm_coefficient_ratio(j)
+    return c
+
+
 class TestCoefficients:
     def test_c1(self):
         assert agm_coefficient(1) == 0.75
-        assert agm_coefficient_exact(1) == Fraction(3, 4)
+        assert Fraction(agm_coefficient(1)) == factorial_form(1) == Fraction(3, 4)
 
     def test_ratio_at_one(self):
         assert agm_coefficient_ratio(1) == Fraction(15, 16)
 
     def test_recurrence_matches_double_factorials(self):
-        # c_m = (2m+1) ((2m-1)!!/(2m)!!)^2 with (2m-1)!! = (2m)!/(2^m m!)
         for m in (1, 2, 3, 10, 40):
-            semi = Fraction(math.factorial(2 * m),
-                            2 ** m * math.factorial(m)) / (2 ** m * math.factorial(m))
-            assert agm_coefficient_exact(m) == (2 * m + 1) * semi ** 2
+            assert ratio_walk(m) == factorial_form(m)
+            assert agm_coefficient(m) == pytest.approx(float(factorial_form(m)), rel=1e-14)
 
     def test_float_route_agrees(self):
-        assert agm_coefficient(100) == pytest.approx(
-            float(agm_coefficient_exact(100)), rel=1e-13)
+        assert agm_coefficient(100) == pytest.approx(float(ratio_walk(100)), rel=1e-13)
+        assert agm_coefficient(100) == pytest.approx(float(factorial_form(100)), rel=1e-13)
 
     def test_all_below_one(self):
         c = Fraction(3, 4)
@@ -290,9 +315,36 @@ class TestCoefficients:
             c *= agm_coefficient_ratio(m)
 
     def test_index_validation(self):
-        for fn in (agm_coefficient, agm_coefficient_exact, agm_coefficient_ratio):
+        for fn in (agm_coefficient, agm_coefficient_ratio):
             with pytest.raises(DomainError):
                 fn(0)
+
+
+class TestPinnedBits:
+    """Exact results of every route, so a refactor that moves a bit fails."""
+
+    #: z: (K agm, K series, K quadrature, E agm, E quadrature, agm_seiffert_prime)
+    VALUES = {
+        0.1: ("0x1.9322866e3cfabp+0", "0x1.9322866e3cfaap+0", "0x1.9322866e3cfabp+0",
+              "0x1.911ddd3e54825p+0", "0x1.911ddd3e54825p+0", "0x1.01f02c59cfa8cp+0"),
+        0.5: ("0x1.af8d55d323f79p+0", "0x1.af8d55d323f7ap+0", "0x1.af8d55d323f79p+0",
+              "0x1.77ab9a753a8f1p+0", "0x1.77ab9a753a8f0p+0", "0x1.3ee0fe082246cp+0"),
+        0.9: ("0x1.23e908bf392ffp+1", "0x1.23e908bf392ffp+1", "0x1.23e908bf392ffp+1",
+              "0x1.2bf4568a84411p+0", "0x1.2bf4568a84411p+0", "0x1.f684ab4fc15dap+1"),
+    }
+
+    @pytest.mark.parametrize("z", sorted(VALUES))
+    def test_routes(self, z):
+        got = tuple(ellip_k(z, method=m) for m in ("agm", "series", "quadrature")) + (
+            ellip_e(z), ellip_e(z, method="quadrature"), agm_seiffert_prime(z))
+        assert tuple(v.hex() for v in got) == self.VALUES[z]
+
+    @pytest.mark.parametrize("m, expected", [
+        (1, "0x1.8000000000000p-1"), (2, "0x1.6800000000000p-1"),
+        (10, "0x1.4dccd6d3a0000p-1"), (100, "0x1.46c2daa2f9443p-1"),
+        (1000, "0x1.4607e1369de81p-1")])
+    def test_coefficients(self, m, expected):
+        assert agm_coefficient(m).hex() == expected
 
 
 class TestVMean:

@@ -16,6 +16,7 @@ from meanlab import (
     apply_i_operator,
     builtin_chain,
     default_pair_grid,
+    default_pairs,
     deform_mean,
     ellip_e,
     envelope_lemma,
@@ -88,7 +89,7 @@ class TestClosedFormHalfDeformations:
         ("H", lambda a, g: (3.0 * a * a + g * g) / (4.0 * a)),
     ])
     def test_half_deformation_closed_forms(self, mean_id, closed_form):
-        for x, y in default_pair_grid(30, rescalings=0):
+        for x, y in default_pairs(30, 1e-4, 0.999):
             a = 0.5 * (x + y)
             g = math.sqrt(x) * math.sqrt(y)
             assert deform_mean(mean_id, 0.5)(x, y) == pytest.approx(
@@ -233,10 +234,7 @@ class TestChainSuite:
         assert default_pair_grid(count, z_min, z_max)[count:] == expected
 
     def test_rescalings_bounded_by_frozen_draws(self):
-        assert len(default_pair_grid(5, rescalings=10)) == 15
-        for bad in (11, -1):
-            with pytest.raises(DomainError):
-                default_pair_grid(5, rescalings=bad)
+        assert len(default_pair_grid(5)) == 15
 
 
 class TestChainsFromThePairCatalog:
@@ -297,7 +295,7 @@ class TestGenericSandwich:
                            ).classification == "convex"
         rebuilt = mean_of_seiffert(
             lambda z: apply_i_operator(n, z), mean_id=f"I-of-{representer}")
-        for x, y in default_pair_grid(40, rescalings=0):
+        for x, y in default_pairs(40, 1e-4, 0.999):
             lower, upper = hh_bounds(representer, x, y)
             refined = hh_refined_lower(representer, x, y)
             value = rebuilt(x, y)
@@ -312,7 +310,7 @@ class TestGenericSandwich:
         assert probe_shape(lambda u: n(u) / u, GridSpec(0.01, 0.99, 41)
                            ).classification == "concave"
         rebuilt = mean_of_seiffert(lambda z: apply_i_operator(n, z), mean_id="I-of-COSMEAN")
-        for x, y in default_pair_grid(40, rescalings=0):
+        for x, y in default_pairs(40, 1e-4, 0.999):
             lower, upper = hh_bounds("COSMEAN", x, y)  # swap roles when reversed
             value = rebuilt(x, y)
             scale = 0.5 * (x + y)

@@ -1,6 +1,7 @@
 """Catalog means, the Seiffert correspondence, and the t-deformation."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -90,6 +91,17 @@ class TestEvalMean:
             expected = float((mpmath.mpf(y) - mpmath.mpf(x))
                              / (mpmath.log(mpmath.mpf(y)) - mpmath.log(mpmath.mpf(x))))
         assert eval_mean("L", x, y) == pytest.approx(expected, rel=4e-16)
+
+    def test_contraharmonic_between_its_arguments_at_wide_ratios(self):
+        # hi/lo from 2^40 to 2^400, both in [1e-150, 1e150]: past hi/lo of
+        # about 2^53 the quotient (lo^2 + hi^2)/(lo + hi) can round above hi
+        rng = random.Random(5309)
+        bottom = math.log2(1e-150)
+        for _ in range(20_000):
+            spread = rng.uniform(40.0, 400.0)
+            lo = 2.0 ** rng.uniform(bottom, math.log2(1e150) - spread)
+            hi = lo * 2.0 ** spread
+            assert lo <= eval_mean("C", lo, hi) <= hi
 
     @pytest.mark.parametrize("mean_id", ["AGM", "V"])
     def test_elliptic_evaluators_check_nothing(self, mean_id, check_pair_calls):
