@@ -21,12 +21,14 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
+from ._frozen import Frozen, set_field
 from ._pairs import check_unit
 from .errors import DomainError, NonConvergenceError
+from .means import SeiffertFunction
 
 __all__ = [
     "GridSpec",
@@ -65,28 +67,29 @@ QUADRATURE_TOL = 1e-11
 MAX_PANELS = 10_000
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Frozen):
     """A sampling plan: `count` points from `start` to `end` inclusive.
 
     Callers are responsible for keeping start/end strictly inside an open
     domain; validation here covers only ordering and positivity.
     """
 
-    start: float
-    end: float
-    count: int = 101
-    spacing: str = "uniform"
+    __slots__ = ("start", "end", "count", "spacing")
 
-    def __post_init__(self) -> None:
-        if not self.start < self.end:
+    def __init__(self, start: float, end: float, count: int = 101,
+                 spacing: str = "uniform") -> None:
+        if not start < end:
             raise DomainError("grid start must be below grid end")
-        if self.count < 2:
+        if count < 2:
             raise DomainError("grid needs at least 2 points")
-        if self.spacing not in ("uniform", "log"):
-            raise DomainError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.start <= 0.0:
+        if spacing not in ("uniform", "log"):
+            raise DomainError(f"unknown spacing {spacing!r}")
+        if spacing == "log" and start <= 0.0:
             raise DomainError("log spacing needs a positive start")
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "count", count)
+        set_field(self, "spacing", spacing)
 
     def points(self) -> tuple[float, ...]:
         """The grid as floats, by the usual linspace/geomspace formulas.
@@ -110,8 +113,7 @@ def _uniform(start: float, end: float, count: int) -> tuple[float, ...]:
     return (*(i * step + start for i in range(count - 1)), end)
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
+class ShapeVerdict(namedtuple("ShapeVerdict", "classification witness", defaults=(None,))):
     """Outcome of a midpoint-convexity probe.
 
     `classification` is one of "convex", "concave" or "neither"; a witness
@@ -121,8 +123,7 @@ class ShapeVerdict:
     case).  A verdict is a statement about the probed grid only, never a proof.
     """
 
-    classification: str
-    witness: tuple[float, float, float] | None = None
+    __slots__ = ()
 
 
 def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -195,9 +196,7 @@ def i_operator_on(f: Callable[[float], float], zs: Iterable[float]) -> list[floa
     points = [check_unit(z) for z in zs]
     if any(b < a for a, b in pairwise(points)):
         raise DomainError("points of I must be ascending")
-    # A SeiffertFunction checks every point, and these lie in (0, 1): call its
-    # func.  (Imported here: means imports calculus via elliptic.)
-    from .means import SeiffertFunction
+    # A SeiffertFunction checks every point, and these lie in (0, 1): call its func.
     g = f.func if isinstance(f, SeiffertFunction) else f
 
     def integrand(u: float) -> float:

@@ -26,7 +26,6 @@ import math
 from operator import truediv
 
 from ._pairs import check_pair, check_unit, half_spread
-from .calculus import integrate
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
@@ -123,6 +122,7 @@ def _k_ratio(m: int) -> float:  # ((2m-1)/(2m))^2, K's term ratio
 
 def _oracle(g, z: float) -> float:
     """Integral over [0, pi/2] of g(1 - z^2 sin^2 phi) at ORACLE_TOL."""
+    from .calculus import integrate  # only the quadrature routes load calculus
     z2 = z * z
 
     def integrand(phi: float) -> float:

@@ -27,8 +27,8 @@ was found on the probed grid at the stated tolerance.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from ._pairs import check_pair, half_spread, pulled_pair
 from .calculus import GridSpec, apply_i_operator, derivative_estimate, i_envelope, integrate
@@ -64,32 +64,25 @@ IDENTITY_TOL = 1e-9
 DEFAULT_CHECK_GRID = GridSpec(0.001, 0.999, 500, "uniform")
 
 
-@dataclass(frozen=True)
-class RepresentationVerdict:
+class RepresentationVerdict(namedtuple("RepresentationVerdict",
+                                       "status witness_z margin grid note", defaults=("",))):
     """Outcome of the derivative band check on a grid.
 
+    ``status`` is "representable", "falsified" or "inconclusive".
     ``margin`` is the smallest signed distance from m'(z) to the nearer
     band edge over the grid (violations within the tie tolerance are
     reported as zero, so margin <= 0 exactly when status is "falsified").
     """
 
-    status: str  # "representable" | "falsified" | "inconclusive"
-    witness_z: float | None
-    margin: float
-    grid: GridSpec
-    note: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairCatalogEntry:
+class PairCatalogEntry(namedtuple("PairCatalogEntry", "represented representer chain form note",
+                                  defaults=("",))):
     """A known (represented, representer) pair of catalog ids, with the name and the
     form ("refined", "forward" or "reversed") of its chain in `meanlab.inequalities`."""
 
-    represented: str
-    representer: str
-    chain: str
-    form: str
-    note: str = ""
+    __slots__ = ()
 
 
 # Each row's comment says why its chain holds, n the representer's Seiffert function.
@@ -113,10 +106,12 @@ PAIR_CATALOG: tuple[PairCatalogEntry, ...] = (
                      "(2/pi) z K(z) = I((2/pi) z E(z)/(1-z^2))"),
 )
 
-#: Catalog means known to admit no harmonic representation.  TANH fails
-#: the lower band bound near z = 1 (derivative sech^2(1) ~ 0.41997 < 1/2);
-#: G fails the upper bound (its candidate z (1-z^2)^{-3/2} exceeds
-#: z/(1-z) for large z).
+#: The paper's two worked counterexamples: catalog means that admit no
+#: harmonic representation.  TANH fails the lower band bound near z = 1
+#: (derivative sech^2(1) ~ 0.41997 < 1/2); G fails the upper bound (its
+#: candidate z (1-z^2)^{-3/2} exceeds z/(1-z) for large z).  They are not
+#: the only ones: on the default grid `check_representable` also falsifies
+#: H, C, R, V, COSMEAN and COS2MEAN.
 NON_REPRESENTABLE_IDS: tuple[str, ...] = ("TANH", "G")
 
 
@@ -170,25 +165,17 @@ def check_representable(m: SeiffertFunction,
                                  note="no violation found on this grid")
 
 
-@dataclass(frozen=True)
-class IdentityPointRecord:
-    x: float
-    y: float
-    z: float
-    product_deviation: float
-    operator_deviation: float
-    passed: bool
-    note: str = ""
+class IdentityPointRecord(namedtuple(
+        "IdentityPointRecord",
+        "x y z product_deviation operator_deviation passed note", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Per-point outcome of the defining integral identity for one pair."""
+class IdentityReport(namedtuple("IdentityReport", "represented representer tol points")):
+    """Per-point outcome of the defining integral identity for one pair;
+    `points` is a tuple of IdentityPointRecord."""
 
-    represented: str
-    representer: str
-    tol: float
-    points: tuple[IdentityPointRecord, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -240,22 +227,15 @@ def verify_identity(represented: str | MeanDescriptor,
     return IdentityReport(m_desc.id, n_desc.id, tol, tuple(records))
 
 
-@dataclass(frozen=True)
-class EnvelopePointRecord:
-    x: float
-    y: float
-    z: float
-    lower: float
-    value: float
-    upper: float
-    margin: float
-    passed: bool
+class EnvelopePointRecord(namedtuple("EnvelopePointRecord",
+                                     "x y z lower value upper margin passed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    mean_id: str
-    points: tuple[EnvelopePointRecord, ...]
+class EnvelopeReport(namedtuple("EnvelopeReport", "mean_id points")):
+    """The log-envelope check of one mean; `points` is a tuple of EnvelopePointRecord."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

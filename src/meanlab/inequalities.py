@@ -29,9 +29,10 @@ meaningless across scales).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
+from ._frozen import Frozen, set_field
 from ._pairs import check_pair, check_unit, half_spread, pulled_pair
 from .errors import DomainError
 from .harmonic import PAIR_CATALOG, PairCatalogEntry, default_pairs
@@ -53,35 +54,33 @@ __all__ = [
 Term = tuple[str, MeanDescriptor]
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Frozen):
     """An ascending tuple of labelled means, compared pointwise.
 
     `direction` is "convex" for the forward Hermite-Hadamard case and
     "reversed" for the concave or lemma-backed reversed case.
     """
 
-    name: str
-    terms: tuple[Term, ...]
-    direction: str
+    __slots__ = ("name", "terms", "direction")
 
-    def __post_init__(self) -> None:
-        if len(self.terms) < 2:
+    def __init__(self, name: str, terms: tuple[Term, ...], direction: str) -> None:
+        if len(terms) < 2:
             raise DomainError("a chain needs at least two terms")
-        if self.direction not in ("convex", "reversed"):
-            raise DomainError(f"unknown chain direction {self.direction!r}")
-        for label, term in self.terms:
+        if direction not in ("convex", "reversed"):
+            raise DomainError(f"unknown chain direction {direction!r}")
+        for label, term in terms:
             if not isinstance(term, MeanDescriptor):
                 raise DomainError(f"chain term {label!r} is not a MeanDescriptor")
+        set_field(self, "name", name)
+        set_field(self, "terms", terms)
+        set_field(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class ChainPointRecord:
-    x: float
-    y: float
-    z: float
-    values: tuple[float, ...]
-    margins: tuple[float, ...]  # adjacent differences relative to A(x, y)
+class ChainPointRecord(namedtuple("ChainPointRecord", "x y z values margins")):
+    """The chain's values at one pair, and their adjacent differences
+    relative to A(x, y) as `margins`."""
+
+    __slots__ = ()
 
     @property
     def worst_margin(self) -> float:
@@ -89,17 +88,16 @@ class ChainPointRecord:
         return math.nan if any(map(math.isnan, self.margins)) else min(self.margins)
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """Margins of a chain over a pair grid; pass means no margin below -tol."""
+class ChainReport(namedtuple("ChainReport",
+                             "name tol points skipped min_margin passed failing_point")):
+    """Margins of a chain over a pair grid; pass means no margin below -tol.
 
-    name: str
-    tol: float
-    points: tuple[ChainPointRecord, ...]
-    skipped: tuple[tuple[float, float, str], ...]
-    min_margin: float
-    passed: bool
-    failing_point: tuple[float, float] | None
+    `points` holds a ChainPointRecord per checked pair, `skipped` an
+    (x, y, reason) triple per pair that could not be checked, and
+    `failing_point` the (x, y) of a failing minimum margin, else None.
+    """
+
+    __slots__ = ()
 
 
 def _harmonic_of(*values: float) -> float:

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import elliptic
+from ._frozen import Frozen, set_field
 from ._pairs import check_pair, check_unit, half_spread, pulled_pair
 from .errors import DomainError, SeiffertBoundError, UnknownMeanError
 
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeanDescriptor:
+class MeanDescriptor(Frozen):
     """A named, evaluable symmetric homogeneous mean on positive pairs.
 
     The evaluator receives an ordered pair (lo, hi) with 0 < lo < hi.  A call
@@ -66,12 +65,18 @@ class MeanDescriptor:
     derivative touches its band).  Both stay None for derived means.
     """
 
-    id: str
-    display: str
-    evaluator: Callable[[float, float], float] = field(repr=False)
-    note: str = ""
-    shape: str | None = None
-    derivative: Callable[[float], float] | None = field(default=None, repr=False)
+    __slots__ = ("id", "display", "evaluator", "note", "shape", "derivative")
+    _hidden = ("evaluator", "derivative")
+
+    def __init__(self, id: str, display: str, evaluator: Callable[[float, float], float],
+                 note: str = "", shape: str | None = None,
+                 derivative: Callable[[float], float] | None = None) -> None:
+        set_field(self, "id", id)
+        set_field(self, "display", display)
+        set_field(self, "evaluator", evaluator)
+        set_field(self, "note", note)
+        set_field(self, "shape", shape)
+        set_field(self, "derivative", derivative)
 
     def ordered(self, lo: float, hi: float) -> float:
         """The mean at a pair known to satisfy 0 < lo <= hi; checks nothing."""
@@ -81,13 +86,17 @@ class MeanDescriptor:
         return self.ordered(*check_pair(x, y))
 
 
-@dataclass(frozen=True)
-class SeiffertFunction:
+class SeiffertFunction(Frozen):
     """An evaluable function on (0, 1), with optional closed-form derivative."""
 
-    func: Callable[[float], float] = field(repr=False)
-    derivative: Callable[[float], float] | None = field(default=None, repr=False)
-    name: str = ""
+    __slots__ = ("func", "derivative", "name")
+    _hidden = ("func", "derivative")
+
+    def __init__(self, func: Callable[[float], float],
+                 derivative: Callable[[float], float] | None = None, name: str = "") -> None:
+        set_field(self, "func", func)
+        set_field(self, "derivative", derivative)
+        set_field(self, "name", name)
 
     def __call__(self, z: float) -> float:
         return self.func(check_unit(z))

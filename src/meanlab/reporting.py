@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "CheckRecord",
@@ -33,8 +33,8 @@ FORMATS = ("json", "csv", "text")
 CSV_HEADER = ("check", "name", "x", "y", "z", "margin", "pass")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "check name passed x y z margin detail",
+                             defaults=(None, None, None, None, ""))):
     """One verification outcome.
 
     `margin` is the signed slack of whatever inequality or tolerance the
@@ -42,23 +42,13 @@ class CheckRecord:
     coordinate fields None.
     """
 
-    check: str
-    name: str
-    passed: bool
-    x: float | None = None
-    y: float | None = None
-    z: float | None = None
-    margin: float | None = None
-    detail: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    tool: str
-    version: str
-    timestamp: str
-    records: tuple[CheckRecord, ...]
-    summary: dict[str, int]
+class ReportDocument(namedtuple("ReportDocument", "tool version timestamp records summary")):
+    """A report: its CheckRecords in order, and the pass/fail/total counts in `summary`."""
+
+    __slots__ = ()
 
 
 def build_report(records: list[CheckRecord]) -> ReportDocument:

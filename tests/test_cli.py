@@ -280,25 +280,39 @@ def test_cli_imports_without_numpy():
 
 
 #: Verbs run in one process, and modules that process must not have loaded.
+#: No verb loads `dataclasses` or `inspect`, which pull in ast, dis and tokenize.
 COLD_STARTS = [
     ([["eval", "--mean", "P", "1", "3"],
       ["seiffert", "--mean", "AGM", "--z", "0.5"],
       ["seiffert", "--mean", "L", "--zgrid", "0.1:0.9:3:log"],
       ["deform", "--mean", "C", "--t", "0.5", "1", "3"]],
      ["meanlab.harmonic", "meanlab.inequalities", "meanlab.suite", "fractions",
-      "json", "csv", "datetime"]),
+      "json", "csv", "datetime", "dataclasses", "inspect"]),
+    # only the quadrature routes to K and E need calculus
+    ([["eval", "--mean", "AGM", "1", "3"],
+      ["seiffert", "--mean", "V", "--z", "0.5"],
+      ["deform", "--mean", "AGM", "--t", "0.5", "1", "3"]],
+     ["meanlab.calculus", "heapq", "dataclasses", "inspect"]),
     ([["harmonic", "check", "--mean", "SIN", "--format", "csv"]],
-     ["meanlab.inequalities", "meanlab.suite"]),
+     ["meanlab.inequalities", "meanlab.suite", "dataclasses", "inspect"]),
+    ([["harmonic", "verify", "--mean", "L", "--repr", "H", "--format", "csv"]],
+     ["meanlab.inequalities", "meanlab.suite", "json", "dataclasses", "inspect"]),
+    ([["ineq", "run", "--chain", "hh-P-G", "--format", "csv"]],
+     ["meanlab.suite", "json", "dataclasses", "inspect"]),
 ]
 
 
-@pytest.mark.parametrize("argvs, absent", COLD_STARTS, ids=["light-verbs", "harmonic-check"])
+@pytest.mark.parametrize("argvs, absent", COLD_STARTS,
+                         ids=["light-verbs", "no-quadrature", "harmonic-check",
+                              "harmonic-verify", "ineq-run"])
 def test_cold_start_loads_only_what_its_verb_runs(argvs, absent):
+    # an interpreter's site may preload a module: only meanlab's own loads count
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     code = ("import sys\n"
+            "before = set(sys.modules)\n"
             "from meanlab.cli import run_command\n"
             f"codes = [run_command(argv) for argv in {argvs!r}]\n"
-            f"print(codes, [m for m in {absent!r} if m in sys.modules])")
+            f"print(codes, [m for m in {absent!r} if m in sys.modules and m not in before])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from meanlab import (
+    MEAN_IDS,
     NON_REPRESENTABLE_IDS,
     PAIR_CATALOG,
     MeanDescriptor,
@@ -84,6 +85,20 @@ class TestCheckRepresentable:
         assert set(NON_REPRESENTABLE_IDS) == {"TANH", "G"}
         for mean_id in NON_REPRESENTABLE_IDS:
             assert check_representable(seiffert_of_mean(mean_id)).status == "falsified"
+
+    def test_every_catalog_status_on_the_default_grid(self):
+        # the two worked counterexamples are among the eight the grid falsifies
+        falsified_at = {"G": 0.999, "H": 0.999, "C": 0.999, "R": 0.999, "V": 0.999,
+                        "TANH": 0.999, "COSMEAN": 0.999, "COS2MEAN": 0.771}
+        for mean_id in MEAN_IDS:
+            verdict = check_representable(seiffert_of_mean(mean_id))
+            if mean_id in falsified_at:
+                assert verdict.status == "falsified", mean_id
+                assert verdict.witness_z == pytest.approx(falsified_at[mean_id], abs=1e-12)
+            else:
+                assert verdict.status == "representable", mean_id
+        assert len(MEAN_IDS) - len(falsified_at) == 10
+        assert set(NON_REPRESENTABLE_IDS) < set(falsified_at)
 
     def test_inconclusive_on_derivative_failure(self):
         broken = SeiffertFunction(lambda z: z, derivative=lambda z: 1.0 / 0.0,
