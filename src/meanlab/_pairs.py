@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from math import inf
 
 from .errors import DomainError
 
@@ -15,13 +16,18 @@ _SUM_OVERFLOW_GUARD = 8.9e307
 
 
 def check_pair(x: float, y: float) -> tuple[float, float]:
-    """Validate a positive pair and return it ordered as (lo, hi)."""
+    """Validate a positive pair and return it ordered as (lo, hi).
+
+    Fast path: a valid pair passes one chained comparison per argument
+    and returns; only a failing pair reaches the checks that choose its
+    message.
+    """
     fx, fy = float(x), float(y)
+    if 0.0 < fx < inf and 0.0 < fy < inf:
+        return (fx, fy) if fx <= fy else (fy, fx)
     if not (math.isfinite(fx) and math.isfinite(fy)):
         raise DomainError(f"arguments must be finite, got ({x!r}, {y!r})")
-    if fx <= 0.0 or fy <= 0.0:
-        raise DomainError(f"arguments must be positive, got ({x!r}, {y!r})")
-    return (fx, fy) if fx <= fy else (fy, fx)
+    raise DomainError(f"arguments must be positive, got ({x!r}, {y!r})")
 
 
 def check_unit(z: float, name: str = "z") -> float:
@@ -43,7 +49,7 @@ def half_spread(lo: float, hi: float) -> float:
         z = (1.0 - r) / (1.0 + r)
     else:
         z = (hi - lo) / (hi + lo)
-    return min(z, MAX_HALF_SPREAD)
+    return MAX_HALF_SPREAD if z > MAX_HALF_SPREAD else z  # a NaN passes through
 
 
 def pulled_pair(lo: float, hi: float, t: float) -> tuple[float, float]:
@@ -52,4 +58,4 @@ def pulled_pair(lo: float, hi: float, t: float) -> tuple[float, float]:
     shift = 0.5 * t * (hi - lo)
     a, b = mid - shift, mid + shift
     # check_pair raises here: x + y overflowed, or m - t d rounded to 0 for t near 1
-    return (a, b) if 0.0 < a and b < math.inf else check_pair(a, b)
+    return (a, b) if 0.0 < a and b < inf else check_pair(a, b)

@@ -29,6 +29,9 @@ __all__ = ["run_command", "main"]
 
 _DEFAULT_GRID = "0.05:0.95:19"
 
+# reporting.FORMATS, kept here so that verbs without a report never load reporting
+_FORMATS = ("json", "csv", "text")
+
 
 def _parse_zgrid(spec: str):
     from .calculus import GridSpec
@@ -179,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
-    from .reporting import FORMATS
-    parser.add_argument("--format", choices=FORMATS, default="text")
+    parser.add_argument("--format", choices=_FORMATS, default="text")
     parser.add_argument("--out", default=None, metavar="PATH")
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable
+from functools import partial
 
 from ._frozen import Frozen, set_field
 from ._pairs import check_pair, check_unit, half_spread, pulled_pair
@@ -101,7 +102,11 @@ class ChainReport(namedtuple("ChainReport",
 
 
 def _harmonic_of(*values: float) -> float:
-    return len(values) / sum(1.0 / v for v in values)
+    # left to right, not sum(): from Python 3.12 sum() of floats is compensated
+    total = 0.0
+    for v in values:
+        total += 1.0 / v
+    return len(values) / total
 
 
 def _hh_lower(n: MeanDescriptor, lo: float, hi: float) -> float:
@@ -206,6 +211,7 @@ def run_chain_suite(spec: ChainSpec,
     """
     if pairs is None:
         pairs = default_pair_grid()
+    evaluators = [term.ordered for _, term in spec.terms]
     records = []
     skipped = []
     min_margin = math.inf
@@ -213,12 +219,12 @@ def run_chain_suite(spec: ChainSpec,
     for x, y in pairs:
         try:
             lo, hi = check_pair(x, y)
-            values = tuple(term.ordered(lo, hi) for _, term in spec.terms)
+            values = tuple([ordered(lo, hi) for ordered in evaluators])
         except Exception as exc:  # noqa: BLE001 - recorded, point skipped
             skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
             continue
         a = 0.5 * (lo + hi)
-        margins = tuple((values[i + 1] - values[i]) / a for i in range(len(values) - 1))
+        margins = tuple([(upper - lower) / a for lower, upper in zip(values, values[1:])])
         record = ChainPointRecord(x, y, half_spread(lo, hi), values, margins)
         records.append(record)
         worst = record.worst_margin
@@ -237,7 +243,7 @@ def run_chain_suite(spec: ChainSpec,
 # --------------------------------------------------------------------------
 
 def _hh_term(label: str, bound: Callable, n: MeanDescriptor) -> Term:
-    return label, MeanDescriptor(label, label, lambda lo, hi: bound(n, lo, hi))
+    return label, MeanDescriptor(label, label, partial(bound, n))
 
 
 def _chain(entry: PairCatalogEntry) -> ChainSpec:

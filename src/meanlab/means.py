@@ -272,9 +272,10 @@ def seiffert_of_mean(mean: str | MeanDescriptor) -> SeiffertFunction:
     derivative, if it has one, is attached.
     """
     desc = get_mean(mean)
+    ordered = desc.ordered
 
     def func(z: float) -> float:
-        return z / desc.ordered(1.0 - z, 1.0 + z)
+        return z / ordered(1.0 - z, 1.0 + z)
 
     return SeiffertFunction(func, desc.derivative, name=f"f[{desc.id}]")
 
@@ -344,9 +345,10 @@ def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
     ft = _check_deform(t)
     if ft == 1.0:
         return desc
+    ordered = desc.ordered
 
     def evaluator(lo: float, hi: float) -> float:
-        return desc.ordered(*pulled_pair(lo, hi, ft))
+        return ordered(*pulled_pair(lo, hi, ft))
 
     return MeanDescriptor(f"{desc.id}^{{{ft:g}}}", f"{desc.display} deformed by t={ft:g}",
                           evaluator, note=f"t-deformation of {desc.id}")

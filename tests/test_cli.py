@@ -279,6 +279,11 @@ def test_cli_imports_without_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_format_choices_are_the_report_formats():
+    from meanlab import cli, reporting
+    assert cli._FORMATS == reporting.FORMATS
+
+
 #: Verbs run in one process, and modules that process must not have loaded.
 #: No verb loads `dataclasses` or `inspect`, which pull in ast, dis and tokenize.
 COLD_STARTS = [
@@ -286,13 +291,13 @@ COLD_STARTS = [
       ["seiffert", "--mean", "AGM", "--z", "0.5"],
       ["seiffert", "--mean", "L", "--zgrid", "0.1:0.9:3:log"],
       ["deform", "--mean", "C", "--t", "0.5", "1", "3"]],
-     ["meanlab.harmonic", "meanlab.inequalities", "meanlab.suite", "fractions",
-      "json", "csv", "datetime", "dataclasses", "inspect"]),
+     ["meanlab.harmonic", "meanlab.inequalities", "meanlab.suite", "meanlab.reporting",
+      "fractions", "json", "csv", "datetime", "dataclasses", "inspect"]),
     # only the quadrature routes to K and E need calculus
     ([["eval", "--mean", "AGM", "1", "3"],
       ["seiffert", "--mean", "V", "--z", "0.5"],
       ["deform", "--mean", "AGM", "--t", "0.5", "1", "3"]],
-     ["meanlab.calculus", "heapq", "dataclasses", "inspect"]),
+     ["meanlab.calculus", "meanlab.reporting", "heapq", "dataclasses", "inspect"]),
     ([["harmonic", "check", "--mean", "SIN", "--format", "csv"]],
      ["meanlab.inequalities", "meanlab.suite", "dataclasses", "inspect"]),
     ([["harmonic", "verify", "--mean", "L", "--repr", "H", "--format", "csv"]],

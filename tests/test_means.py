@@ -27,6 +27,7 @@ from meanlab import (
     seiffert_bounds,
     seiffert_of_mean,
 )
+from meanlab._pairs import MAX_HALF_SPREAD, check_pair, half_spread
 
 positive_args = st.floats(min_value=1e-6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -158,6 +159,43 @@ class TestHalfSpread:
     def test_extreme_ratio_clamped_below_one(self):
         z = relative_half_spread(1e-300, 1e300)
         assert 0.0 < z < 1.0
+
+    def test_clamps_to_the_largest_double_below_one(self):
+        # (1 - 5e-324) / (1 + 5e-324) rounds to 1
+        assert half_spread(5e-324, 1.0) == MAX_HALF_SPREAD
+        assert relative_half_spread(1.0, 5e-324) == MAX_HALF_SPREAD
+
+    def test_nan_passes_through(self):
+        assert math.isnan(half_spread(math.nan, 1.0))
+        assert math.isnan(half_spread(1.0, math.nan))
+
+
+class TestCheckPair:
+    @pytest.mark.parametrize("x, y, message", [
+        (math.nan, 1.0, "arguments must be finite, got (nan, 1.0)"),
+        (1.0, math.inf, "arguments must be finite, got (1.0, inf)"),
+        (-math.inf, 1.0, "arguments must be finite, got (-inf, 1.0)"),
+        (-1.0, math.nan, "arguments must be finite, got (-1.0, nan)"),
+        (0.0, math.inf, "arguments must be finite, got (0.0, inf)"),
+        (0.0, 1.0, "arguments must be positive, got (0.0, 1.0)"),
+        (1.0, -0.0, "arguments must be positive, got (1.0, -0.0)"),
+        (-2, 3, "arguments must be positive, got (-2, 3)"),
+        (2.0, -1e-300, "arguments must be positive, got (2.0, -1e-300)"),
+    ])
+    def test_invalid_pairs_keep_their_messages(self, x, y, message):
+        with pytest.raises(DomainError) as info:
+            check_pair(x, y)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("v", [5e-324, 1.0, 3, 1.7976931348623157e308])
+    def test_ties(self, v):
+        lo, hi = check_pair(v, float(v))
+        assert (lo, hi) == (v, v) and type(lo) is type(hi) is float
+
+    def test_orders_and_converts(self):
+        assert check_pair(3, 1.5) == (1.5, 3.0)
+        assert check_pair(1.5, 3) == (1.5, 3.0)
+        assert check_pair(1.7976931348623157e308, 5e-324) == (5e-324, 1.7976931348623157e308)
 
 
 class TestSeiffertOfMean:
