@@ -14,6 +14,9 @@ The quadrature is QUADPACK's globally adaptive QAG scheme with the
 15-point Gauss-Kronrod rule (Piessens et al. 1983): each panel's error
 estimate is the gap between its Kronrod value and the 7-point Gauss value
 embedded in it, and the panel with the largest error is bisected next.
+The rule is written out as straight-line code over named node and weight
+constants, and a first panel already within tolerance is returned without
+building the panel heap; most calls of I end there.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import accumulate, pairwise
+from math import inf
 
 from ._frozen import Frozen, set_field
 from ._pairs import check_unit
@@ -42,18 +46,16 @@ __all__ = [
 ]
 
 #: The 15-point Kronrod rule on [-1, 1] with its embedded 7-point Gauss rule,
-#: QUADPACK's QK15 decimals, one row per node x >= 0 (the rule is symmetric):
-#: (node, Kronrod weight, Gauss weight or 0 where x is not a Gauss node).
-_QK15 = (
-    (0.0, 0.20948214108472782, 0.4179591836734694),
-    (0.20778495500789848, 0.20443294007529889, 0.0),
-    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
-    (0.5860872354676911, 0.1690047266392679, 0.0),
-    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
-    (0.8648644233597691, 0.10479001032225019, 0.0),
-    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
-    (0.9914553711208126, 0.022935322010529224, 0.0),
-)
+#: QUADPACK's QK15 decimals.  The rule is symmetric: nodes 0 and +-_Xk for
+#: k = 1..7 with Kronrod weights _WKk; the Gauss nodes are 0, _X2, _X4, _X6.
+_X1, _X2, _X3, _X4, _X5, _X6, _X7 = (
+    0.20778495500789848, 0.4058451513773972, 0.5860872354676911, 0.7415311855993945,
+    0.8648644233597691, 0.9491079123427585, 0.9914553711208126)
+_WK0, _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = (
+    0.20948214108472782, 0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
+    0.14065325971552592, 0.10479001032225019, 0.06309209262997856, 0.022935322010529224)
+_WG0, _WG2, _WG4, _WG6 = (
+    0.4179591836734694, 0.3818300505051189, 0.27970539148927664, 0.1294849661688697)
 
 #: Below this abscissa the integrand of I is replaced by its limit value 1.
 I_OPERATOR_CUTOFF = 1e-14
@@ -127,14 +129,34 @@ class ShapeVerdict(namedtuple("ShapeVerdict", "classification witness", defaults
 
 
 def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """The Kronrod value of fn over [a, b] and its distance from the Gauss value."""
+    """The Kronrod value of fn over [a, b] and its distance from the Gauss value.
+
+    Straight-line code: fn is called at the centre, then left and right of
+    it from the innermost node out, and both sums add term by term from 0.0.
+    The Gauss sum keeps a 0.0 * y term at each non-Gauss node, so an infinite
+    value there still makes it NaN.
+    """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    kronrod = gauss = 0.0
-    for x, wk, wg in _QK15:
-        y = fn(center - half * x) + fn(center + half * x) if x else fn(center)
-        kronrod += wk * y
-        gauss += wg * y
+    y0 = fn(center)
+    d = half * _X1
+    y1 = fn(center - d) + fn(center + d)
+    d = half * _X2
+    y2 = fn(center - d) + fn(center + d)
+    d = half * _X3
+    y3 = fn(center - d) + fn(center + d)
+    d = half * _X4
+    y4 = fn(center - d) + fn(center + d)
+    d = half * _X5
+    y5 = fn(center - d) + fn(center + d)
+    d = half * _X6
+    y6 = fn(center - d) + fn(center + d)
+    d = half * _X7
+    y7 = fn(center - d) + fn(center + d)
+    kronrod = (0.0 + _WK0 * y0 + _WK1 * y1 + _WK2 * y2 + _WK3 * y3
+               + _WK4 * y4 + _WK5 * y5 + _WK6 * y6 + _WK7 * y7)
+    gauss = (0.0 + _WG0 * y0 + 0.0 * y1 + _WG2 * y2 + 0.0 * y3
+             + _WG4 * y4 + 0.0 * y5 + _WG6 * y6 + 0.0 * y7)
     return half * kronrod, abs(half * (kronrod - gauss))
 
 
@@ -142,19 +164,24 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
               tol: float = QUADRATURE_TOL) -> float:
     """Integrate fn over [a, b] until the summed error estimate is <= tol.
 
-    The panel with the largest estimated error is bisected next.  Raises
-    NonConvergenceError once MAX_PANELS panels are spent or that panel is
-    too narrow to split in floating point (QUADPACK's roundoff limit),
-    carrying the estimate of the integral over [a, b] and its error bound.
+    A first panel within tol is the result.  Otherwise the panel with the
+    largest estimated error is bisected next.  Raises NonConvergenceError
+    once MAX_PANELS panels are spent or that panel is too narrow to split in
+    floating point (QUADPACK's roundoff limit), carrying the estimate of the
+    integral over [a, b] and its error bound.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     fa, fb = float(a), float(b)
-    if fa > fb:
-        raise DomainError("integration bounds must satisfy a <= b")
+    if not -inf < fa <= fb < inf:
+        if fa > fb:
+            raise DomainError("integration bounds must satisfy a <= b")
+        raise DomainError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if fa == fb:
         return 0.0
     value, err = _qk15(fn, fa, fb)
+    if err <= tol:  # what the loop returns after one panel: its fsum maps -0.0 to 0.0
+        return value + 0.0
     heap = [(-err, fa, fb, value)]
     errsum, panels = err, 1
     # The running error sum cancels, so it is recomputed exactly before it is
@@ -179,6 +206,8 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
         heapq.heapreplace(heap, (-left_err, lo, mid, left))
         heapq.heappush(heap, (-right_err, mid, hi, right))
         errsum += neg_err + left_err + right_err
+        if errsum != errsum:  # a NaN (or inf - inf) outlives its panel in the running sum
+            errsum = math.fsum(-item[0] for item in heap)
         panels += 2
     return math.fsum(item[3] for item in heap)
 

@@ -201,6 +201,7 @@ def verify_identity(represented: str | MeanDescriptor,
         points = default_pairs()
     m_seiffert = seiffert_of_mean(m_desc)
     n_seiffert = seiffert_of_mean(n_desc)
+    n_ordered = n_desc.ordered
 
     records = []
     for x, y in points:
@@ -208,7 +209,7 @@ def verify_identity(represented: str | MeanDescriptor,
         z = half_spread(lo, hi)
 
         def integrand(t: float) -> float:
-            return 1.0 / n_desc.ordered(*pulled_pair(lo, hi, t))
+            return 1.0 / n_ordered(*pulled_pair(lo, hi, t))
 
         try:
             q = integrate(integrand, 0.0, 1.0)

@@ -9,7 +9,6 @@ by name preserves the intended order.  Everything here is deterministic
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import elliptic
 from .calculus import (
@@ -171,25 +170,27 @@ def check_coefficient_facts() -> list[CheckRecord]:
     records = []
     max_m = 1000
     records.append(CheckRecord("06-series-coefficients", "c1-exact",
-                                Fraction(elliptic.agm_coefficient(1)) == Fraction(3, 4),
+                                elliptic.agm_coefficient(1) == 0.75,
                                 detail="c_1 = 3/4"))
 
-    # Independent route: double factorials through ordinary factorials,
-    # c_m = (2m+1) ((2m)! / (2^(2m) (m!)^2))^2, compared with the ratio
-    # recurrence at exact rational precision.
+    # The ratio recurrence from c_0 = 1, carried exactly as c_m = num / den,
+    # against an independent route: double factorials through ordinary
+    # factorials, c_m = (2m+1) (root_num / root_den)^2 with root_num = (2m)!
+    # and root_den = 2^(2m) (m!)^2, compared by cross-multiplication.
     ok_ratio = True
     below_one = True
-    c = Fraction(3, 4)
+    num = den = 1
     for m in range(1, max_m + 1):
+        ratio_num, ratio_den = elliptic._c_ratio(m)
+        num *= ratio_num
+        den *= ratio_den
         if m <= 60 or m == max_m:
-            direct = ((2 * m + 1)
-                      * Fraction(math.factorial(2 * m),
-                                 2 ** (2 * m) * math.factorial(m) ** 2) ** 2)
-            if direct != c:
+            root_num = math.factorial(2 * m)
+            root_den = 2 ** (2 * m) * math.factorial(m) ** 2
+            if (2 * m + 1) * root_num ** 2 * den != num * root_den ** 2:
                 ok_ratio = False
-        if not c < 1:
+        if not num < den:
             below_one = False
-        c *= elliptic.agm_coefficient_ratio(m)
     records.append(CheckRecord("06-series-coefficients", "ratio-identity", ok_ratio,
                                 detail="recurrence matches the double-factorial form"))
     records.append(CheckRecord("06-series-coefficients", "cm-below-1", below_one,

@@ -4,6 +4,8 @@ import functools
 import math
 import operator
 import os
+import random
+import struct
 import subprocess
 import sys
 import textwrap
@@ -29,7 +31,7 @@ from meanlab import (
     probe_shape,
     seiffert_of_mean,
 )
-from meanlab.calculus import _QK15, MAX_PANELS, QUADRATURE_TOL
+from meanlab.calculus import MAX_PANELS, QUADRATURE_TOL, _qk15
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,6 +41,41 @@ UNIFORM_GRIDS = [(0.0005, 0.9995, 1000), (0.01, 0.99, 99), (0.001, 0.999, 500),
 #: Log grids the package samples, plus a wide and a two-point one.
 LOG_GRIDS = [(1e-4, 0.99, 50), (0.01, 0.9, 20), (1e-4, 0.999, 100), (1e-3, 0.9, 51),
              (1e-12, 1e6, 73), (0.5, 2.0, 2)]
+
+#: The table-and-loop QK15 kernel that `_qk15` replaced, kept as its reference:
+#: one row per node x >= 0 (node, Kronrod weight, Gauss weight or 0).
+REFERENCE_QK15 = (
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+)
+
+
+def reference_qk15(fn, a, b):
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    kronrod = gauss = 0.0
+    for x, wk, wg in REFERENCE_QK15:
+        y = fn(center - half * x) + fn(center + half * x) if x else fn(center)
+        kronrod += wk * y
+        gauss += wg * y
+    return half * kronrod, abs(half * (kronrod - gauss))
+
+
+def module_qk15_rows():
+    """The constants `_qk15` runs on, as rows of REFERENCE_QK15's layout."""
+    return tuple((getattr(calculus, f"_X{k}") if k else 0.0,
+                  getattr(calculus, f"_WK{k}"),
+                  getattr(calculus, f"_WG{k}", 0.0)) for k in range(8))
+
+
+def bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 class TestIntegrate:
@@ -153,9 +190,9 @@ class TestIntegrate:
 
     @staticmethod
     def _rule_on_power(column, k):
-        """A column of _QK15 (1: Kronrod, 2: Gauss) applied to u**k on [-1, 1]."""
+        """A column of the QK15 constants (1: Kronrod, 2: Gauss) applied to u**k on [-1, 1]."""
         return math.fsum(row[column] * (row[0] ** k + (-row[0]) ** k if row[0] else 0.0 ** k)
-                         for row in _QK15)
+                         for row in module_qk15_rows())
 
     @pytest.mark.parametrize("column, degree, inexact", [(1, 22, 24), (2, 13, 14)],
                              ids=["kronrod", "gauss"])
@@ -167,12 +204,66 @@ class TestIntegrate:
 
     def test_gauss_subset_matches_leggauss(self):
         # QUADPACK's decimals round 1-2 ulp away from numpy's, so not bitwise
-        rows = [(x, wg) for x, _, wg in _QK15 if wg]
+        rows = [(x, wg) for x, _, wg in module_qk15_rows() if wg]
         nodes, weights = np.polynomial.legendre.leggauss(7)
         assert len(rows) == 4
         for (x, wg), node, weight in zip(rows, nodes[3:], weights[3:]):
             assert abs(x - node) <= 2e-16
             assert abs(wg - weight) <= 1e-15 * weight
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan, -0.0, None],
+                             ids=["inf", "-inf", "nan", "-0.0", "plain"])
+    def test_kernel_keeps_the_reference_arithmetic(self, special):
+        # Same nodes in the same order and the same (value, error) bits on
+        # 1,000 seeded panels; `special` replaces one node's value, so an inf
+        # at a non-Gauss node must still give a NaN error, as the loop did.
+        rng = random.Random(14)
+        shapes = (math.sin, math.exp, lambda u: 1.0 / (1.0 + u * u),
+                  lambda u: u ** 7 - 3.0 * u, seiffert_of_mean("L").func, lambda u: -0.0)
+        for _ in range(1_000):
+            fn = rng.choice(shapes)
+            a = rng.uniform(1e-3, 0.9)
+            b = a + rng.choice((1e-12, 1e-6, 1e-3, 0.09)) * rng.uniform(0.0, 1.0)
+            spike = rng.randrange(15)
+
+            def run(kernel):
+                calls = []
+
+                def g(u):
+                    calls.append(u)
+                    return special if special is not None and len(calls) == spike + 1 else fn(u)
+
+                return bits(*kernel(g, a, b)), calls
+
+            assert run(_qk15) == run(reference_qk15), (a, b, spike)
+
+    def test_one_panel_is_the_kernel_value(self):
+        for fn, a, b in ((math.sin, 0.0, 0.5), (math.exp, -1.0, 1.0),
+                         (lambda u: u ** 9, 0.2, 0.7), (lambda u: -math.cos(u), 0.0, 1.0)):
+            value, err = _qk15(fn, a, b)
+            assert err <= QUADRATURE_TOL
+            assert bits(integrate(fn, a, b)) == bits(value)
+        # the fsum of the heap loop turned -0.0 into 0.0, and so does the shortcut
+        assert bits(_qk15(lambda u: -1.0, 0.0, 5e-324)[0]) == bits(-0.0)
+        assert bits(integrate(lambda u: -1.0, 0.0, 5e-324)) == bits(0.0)
+
+    def test_nan_panel_is_bisected_away(self):
+        # one node at the centre of [0, 1] gives inf, so the first panel's
+        # error is NaN; once that panel is split the sum must recover
+        value = integrate(lambda u: math.inf if u == 0.5 else math.sqrt(u), 0.0, 1.0)
+        assert abs(value - 2.0 / 3.0) <= 1e-11
+
+    def test_nan_integrand_never_converges(self):
+        with pytest.raises(NonConvergenceError) as err:
+            integrate(lambda u: math.nan, 0.0, 1.0)
+        assert math.isnan(err.value.best) and math.isnan(err.value.error_bound)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
+                                      (0.0, math.inf), (-math.inf, math.inf),
+                                      (math.inf, math.inf)])
+    def test_non_finite_bounds_rejected(self, a, b):
+        with pytest.raises(DomainError, match="finite"):
+            integrate(math.sin, a, b)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

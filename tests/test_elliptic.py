@@ -24,7 +24,9 @@ from meanlab import (
     seiffert_of_mean,
     v_mean,
 )
+from meanlab import elliptic
 from meanlab.elliptic import AGM_MAX_STEPS, AGM_RTOL, v_seiffert_prime
+from meanlab.suite import check_coefficient_facts
 
 # scipy's ellipk/ellipe take the parameter m = z^2
 MODULI = [0.05 * k for k in range(0, 19)]  # 0.0 .. 0.90
@@ -318,6 +320,35 @@ class TestCoefficients:
         for fn in (agm_coefficient, agm_coefficient_ratio):
             with pytest.raises(DomainError):
                 fn(0)
+
+
+class TestCoefficientCheck:
+    """Suite check 06 steps c_m with `elliptic._c_ratio`: a wrong ratio must show."""
+
+    @staticmethod
+    def verdicts():
+        return {r.name: r.passed for r in check_coefficient_facts()}
+
+    def test_passes(self):
+        assert self.verdicts() == {"c1-exact": True, "ratio-identity": True, "cm-below-1": True}
+
+    def test_off_by_one_ratio_fails_the_identity(self, monkeypatch):
+        ratio = elliptic._c_ratio
+        monkeypatch.setattr(elliptic, "_c_ratio", lambda m: ratio(m + 1))
+        # c_m becomes c_{m+1} / c_1, still below 1 throughout
+        assert self.verdicts() == {"c1-exact": False, "ratio-identity": False,
+                                   "cm-below-1": True}
+
+    # doubling at m = 700 lifts c_700 (about 0.64) above 1; a first ratio
+    # of 1 makes c_1 = 1 exactly, which the strict bound must reject
+    @pytest.mark.parametrize("bad_m, bad_ratio", [(700, (2, 1)), (1, (1, 1))],
+                             ids=["c700-above-1", "c1-equal-1"])
+    def test_ratio_pushing_cm_to_1_fails_the_bound(self, monkeypatch, bad_m, bad_ratio):
+        ratio = elliptic._c_ratio
+        monkeypatch.setattr(elliptic, "_c_ratio", lambda m: bad_ratio if m == bad_m else ratio(m))
+        verdicts = self.verdicts()
+        assert verdicts["cm-below-1"] is False
+        assert verdicts["ratio-identity"] is False
 
 
 class TestPinnedBits:
