@@ -10,7 +10,7 @@ envelope lemmas instead.
 import math
 
 from meanlab import (
-    CHAIN_NAMES,
+    PAIR_CATALOG,
     builtin_chain,
     default_pair_grid,
     envelope_lemma,
@@ -30,12 +30,12 @@ for mean_id in ("G", "H", "C", "R", "V"):
 print()
 print("all built-in chains on the default grid (110 pairs, margins relative")
 print("to the local arithmetic mean):")
-for name in CHAIN_NAMES:
-    spec = builtin_chain(name)
+for entry in PAIR_CATALOG:
+    spec = builtin_chain(entry.chain)
     report = run_chain_suite(spec)
     labels = " <= ".join(label for label, _ in spec.terms)
     status = "ok" if report.passed else "FAILED"
-    print(f"  {name:9s} [{spec.direction:8s}] min margin {report.min_margin:9.3e}"
+    print(f"  {entry.chain:9s} [{entry.form:8s}] min margin {report.min_margin:9.3e}"
           f"  {status}")
     print(f"            {labels}")
 

@@ -21,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from .errors import MeanLabError
 
@@ -55,11 +54,13 @@ def _parse_pairs(spec: str) -> list[tuple[float, float]] | None:
         return None  # commands fall back to their own defaults
     import csv
     from ._pairs import check_pair
-    path = Path(spec)
-    if not path.exists():
-        raise MeanLabError(f"pair file {spec!r} not found")
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]  # blank lines are skipped
+    try:
+        with open(spec, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]  # blank lines are skipped
+    except FileNotFoundError:
+        raise MeanLabError(f"pair file {spec!r} not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeanLabError(f"cannot read pair file {spec!r}: {exc}") from None
     if not rows or [f.strip() for f in rows[0]] != ["x", "y"]:
         raise MeanLabError(f"pair file {spec!r} needs the header 'x,y'")
     pairs = []
@@ -97,7 +98,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise MeanLabError(f"cannot write report to {out!r}: {exc}") from None
 

@@ -56,25 +56,18 @@ Term = tuple[str, MeanDescriptor]
 
 
 class ChainSpec(Frozen):
-    """An ascending tuple of labelled means, compared pointwise.
+    """An ascending tuple of labelled means, compared pointwise."""
 
-    `direction` is "convex" for the forward Hermite-Hadamard case and
-    "reversed" for the concave or lemma-backed reversed case.
-    """
+    __slots__ = ("name", "terms")
 
-    __slots__ = ("name", "terms", "direction")
-
-    def __init__(self, name: str, terms: tuple[Term, ...], direction: str) -> None:
+    def __init__(self, name: str, terms: tuple[Term, ...]) -> None:
         if len(terms) < 2:
             raise DomainError("a chain needs at least two terms")
-        if direction not in ("convex", "reversed"):
-            raise DomainError(f"unknown chain direction {direction!r}")
         for label, term in terms:
             if not isinstance(term, MeanDescriptor):
                 raise DomainError(f"chain term {label!r} is not a MeanDescriptor")
         set_field(self, "name", name)
         set_field(self, "terms", terms)
-        set_field(self, "direction", direction)
 
 
 class ChainPointRecord(namedtuple("ChainPointRecord", "x y z values margins")):
@@ -254,10 +247,10 @@ def _chain(entry: PairCatalogEntry) -> ChainSpec:
     upper = half, deform_mean(n, 0.5)
     mean = entry.represented, get_mean(entry.represented)
     if entry.form == "reversed":
-        return ChainSpec(entry.chain, (upper, mean, lower), "reversed")
+        return ChainSpec(entry.chain, (upper, mean, lower))
     refined = ((_hh_term(f"H(A,{half},{half},{n.id})", _hh_refined, n),)
                if entry.form == "refined" else ())
-    return ChainSpec(entry.chain, (lower, *refined, mean, upper), "convex")
+    return ChainSpec(entry.chain, (lower, *refined, mean, upper))
 
 
 _CHAINS = {e.chain: _chain(e) for e in PAIR_CATALOG}

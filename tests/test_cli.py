@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,19 @@ class TestPairFiles:
         assert "bad row" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("verb", sorted(PAIR_VERBS))
+    @pytest.mark.parametrize("target", ["directory", "undecodable", "empty-path"])
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, verb, target):
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_bytes(b"x,y\n1,3\n\xff\xfe,2\n")
+        spec = {"directory": str(tmp_path), "undecodable": str(pair_file),
+                "empty-path": ""}[target]
+        result = run_cli(*PAIR_VERBS[verb], "--pairs", spec)
+        assert result.returncode == 2
+        assert result.stderr.startswith("meanlab: error:")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     @staticmethod
     def _verify_pair(tmp_path, pair):
         pair_file = tmp_path / "pairs.csv"
@@ -259,11 +273,19 @@ class TestSuiteCommand:
         assert "--all" in result.stderr
 
     def test_out_file(self, tmp_path):
-        out = tmp_path / "report.csv"
-        result = run_cli("ineq", "run", "--chain", "hh-SIN", "--format", "csv",
-                         "--out", str(out))
-        assert result.returncode == 0
-        assert out.read_text().startswith("check,name")
+        # the file holds the bytes stdout shows, apart from the timestamp
+        untimed = {"csv": lambda b: b,
+                   "json": lambda b: re.sub(rb'"timestamp": "[^"]*"', b"", b),
+                   "text": lambda b: b.split(b"\n", 1)[1]}
+        for fmt, strip in untimed.items():
+            argv = [sys.executable, "-m", "meanlab", "ineq", "run", "--chain", "hh-SIN",
+                    "--format", fmt]
+            out = tmp_path / f"report.{fmt}"
+            written = subprocess.run([*argv, "--out", str(out)], capture_output=True)
+            shown = subprocess.run(argv, capture_output=True)
+            assert written.returncode == shown.returncode == 0
+            assert written.stdout == b""
+            assert strip(out.read_bytes()) == strip(shown.stdout)
 
     def test_unwritable_out(self):
         result = run_cli("ineq", "run", "--chain", "hh-SIN",
@@ -285,25 +307,30 @@ def test_format_choices_are_the_report_formats():
 
 
 #: Verbs run in one process, and modules that process must not have loaded.
-#: No verb loads `dataclasses` or `inspect`, which pull in ast, dis and tokenize.
+#: No verb loads `dataclasses` or `inspect`, which pull in ast, dis and tokenize,
+#: or `pathlib`, which pulls in `urllib.parse`: files are read and written with open().
 COLD_STARTS = [
     ([["eval", "--mean", "P", "1", "3"],
       ["seiffert", "--mean", "AGM", "--z", "0.5"],
       ["seiffert", "--mean", "L", "--zgrid", "0.1:0.9:3:log"],
       ["deform", "--mean", "C", "--t", "0.5", "1", "3"]],
      ["meanlab.harmonic", "meanlab.inequalities", "meanlab.suite", "meanlab.reporting",
-      "fractions", "json", "csv", "datetime", "dataclasses", "inspect"]),
+      "fractions", "json", "csv", "datetime", "dataclasses", "inspect", "pathlib",
+      "urllib.parse"]),
     # only the quadrature routes to K and E need calculus
     ([["eval", "--mean", "AGM", "1", "3"],
       ["seiffert", "--mean", "V", "--z", "0.5"],
       ["deform", "--mean", "AGM", "--t", "0.5", "1", "3"]],
-     ["meanlab.calculus", "meanlab.reporting", "heapq", "dataclasses", "inspect"]),
+     ["meanlab.calculus", "meanlab.reporting", "heapq", "dataclasses", "inspect", "pathlib",
+      "urllib.parse"]),
     ([["harmonic", "check", "--mean", "SIN", "--format", "csv"]],
-     ["meanlab.inequalities", "meanlab.suite", "dataclasses", "inspect"]),
+     ["meanlab.inequalities", "meanlab.suite", "dataclasses", "inspect", "pathlib",
+      "urllib.parse"]),
     ([["harmonic", "verify", "--mean", "L", "--repr", "H", "--format", "csv"]],
-     ["meanlab.inequalities", "meanlab.suite", "json", "dataclasses", "inspect"]),
+     ["meanlab.inequalities", "meanlab.suite", "json", "dataclasses", "inspect",
+      "pathlib", "urllib.parse"]),
     ([["ineq", "run", "--chain", "hh-P-G", "--format", "csv"]],
-     ["meanlab.suite", "json", "dataclasses", "inspect"]),
+     ["meanlab.suite", "json", "dataclasses", "inspect", "pathlib", "urllib.parse"]),
 ]
 
 
@@ -311,13 +338,13 @@ COLD_STARTS = [
                          ids=["light-verbs", "no-quadrature", "harmonic-check",
                               "harmonic-verify", "ineq-run"])
 def test_cold_start_loads_only_what_its_verb_runs(argvs, absent):
-    # an interpreter's site may preload a module: only meanlab's own loads count
+    # without site (-S) no .pth file preloads a module, so every load is meanlab's
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     code = ("import sys\n"
-            "before = set(sys.modules)\n"
             "from meanlab.cli import run_command\n"
             f"codes = [run_command(argv) for argv in {argvs!r}]\n"
-            f"print(codes, [m for m in {absent!r} if m in sys.modules and m not in before])")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            f"print(codes, [m for m in {absent!r} if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"

@@ -202,7 +202,7 @@ class TestChainSuite:
             return hi
 
         spec = ChainSpec("broken", (("ok", MeanDescriptor("ok", "", lambda lo, hi: lo)),
-                                    ("bad", MeanDescriptor("bad", "", broken))), "convex")
+                                    ("bad", MeanDescriptor("bad", "", broken))))
         report = run_chain_suite(spec, [(1.0, 2.0), (3.0, 1.0), (2.0, 2.5)])
         assert not report.passed
         assert report.skipped == ((3.0, 1.0, "ValueError: no value here"),)
@@ -218,7 +218,7 @@ class TestChainSuite:
             ("min", MeanDescriptor("min", "", lambda lo, hi: min(lo, hi))),
             ("top", MeanDescriptor("top", "", lambda lo, hi: top(lo, hi))),
             ("top'", MeanDescriptor("top'", "", lambda lo, hi: top(lo, hi))),
-        ), "convex")
+        ))
         pairs = [(1.0, 3.0), (1e200, 1e300), (2.0, 5.0)]
         report = run_chain_suite(spec, pairs)
         assert report.points[1].margins[0] == math.inf
@@ -230,9 +230,9 @@ class TestChainSuite:
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
-            ChainSpec("tiny", (("only", lambda x, y: x),), "convex")
+            ChainSpec("tiny", (("only", lambda x, y: x),))
         with pytest.raises(DomainError):
-            ChainSpec("bad", (("a", float), ("b", float)), "sideways")
+            ChainSpec("bad", (("a", float), ("b", float)))
         with pytest.raises(DomainError):
             builtin_chain("hh-nothing")
 
@@ -271,7 +271,10 @@ class TestChainsFromThePairCatalog:
         assert (entry.represented, CATALOG[entry.represented]) in spec.terms
         assert f"H(A,{rep})" in labels and f"{rep}^{{1/2}}" in labels
         assert (f"H(A,{rep}^{{1/2}},{rep}^{{1/2}},{rep})" in labels) == (entry.form == "refined")
-        assert (spec.direction == "reversed") == (entry.form == "reversed")
+        ends = [f"H(A,{rep})", f"{rep}^{{1/2}}"]
+        if entry.form == "reversed":  # ascending: upper, mean, lower
+            ends.reverse()
+        assert [labels[0], labels[-1]] == ends
 
     @pytest.mark.parametrize("name", CHAIN_NAMES)
     def test_one_pair_check_per_point(self, name, check_pair_calls):
@@ -282,7 +285,7 @@ class TestChainsFromThePairCatalog:
 
     def test_plain_function_term_is_rejected(self):
         with pytest.raises(DomainError, match="'max' is not a MeanDescriptor"):
-            ChainSpec("plain", (("A", CATALOG["A"]), ("max", max)), "convex")
+            ChainSpec("plain", (("A", CATALOG["A"]), ("max", max)))
 
     # a_1 of N(1-z, 1+z) = 1 - a_1 z^2 + O(z^4), for each representer N
     LEADING = {"G": 1 / 2, "C": -1, "H": 1, "R": -1 / 2, "COSMEAN": -1 / 2,

@@ -139,12 +139,10 @@ def test_grid_spec_validation(args, message):
         GridSpec(*args)
 
 
-@pytest.mark.parametrize("terms, direction, message", [
-    ((("A", get_mean("A")),), "convex", "a chain needs at least two terms"),
-    ((("A", get_mean("A")), ("G", get_mean("G"))), "sideways",
-     "unknown chain direction 'sideways'"),
-    ((("A", get_mean("A")), ("g", max)), "convex", "chain term 'g' is not a MeanDescriptor"),
+@pytest.mark.parametrize("terms, message", [
+    ((("A", get_mean("A")),), "a chain needs at least two terms"),
+    ((("A", get_mean("A")), ("g", max)), "chain term 'g' is not a MeanDescriptor"),
 ])
-def test_chain_spec_validation(terms, direction, message):
+def test_chain_spec_validation(terms, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
-        ChainSpec("c", terms, direction)
+        ChainSpec("c", terms)
