@@ -94,27 +94,19 @@ class ChainReport(namedtuple("ChainReport",
     __slots__ = ()
 
 
-def _harmonic_of(*values: float) -> float:
-    # left to right, not sum(): from Python 3.12 sum() of floats is compensated
-    total = 0.0
-    for v in values:
-        total += 1.0 / v
-    return len(values) / total
-
-
 def _hh_lower(n: MeanDescriptor, lo: float, hi: float) -> float:
-    """H(A, N) at an ordered pair; lo itself for equal arguments."""
-    n_value = n.ordered(lo, hi)
-    return n_value if lo == hi else _harmonic_of(0.5 * (lo + hi), n_value)
+    """H(A, N) at an ordered pair with lo < hi."""
+    n_value = n.evaluator(lo, hi)
+    # left to right, not sum(): from Python 3.12 sum() of floats is compensated
+    return 2.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_value)
 
 
 def _hh_refined(n: MeanDescriptor, lo: float, hi: float) -> float:
-    """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair; lo itself for equal arguments."""
-    n_value = n.ordered(lo, hi)
-    if lo == hi:  # without forming the pulled pair, which overflows at (1e308, 1e308)
-        return n_value
-    n_half = n.ordered(*pulled_pair(lo, hi, 0.5))
-    return _harmonic_of(0.5 * (lo + hi), n_half, n_half, n_value)
+    """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair with lo < hi."""
+    n_value = n.evaluator(lo, hi)
+    n_half = n.ordered(*pulled_pair(lo, hi, 0.5))  # the pulled pair can tie
+    # left to right, as in _hh_lower
+    return 4.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_half + 1.0 / n_half + 1.0 / n_value)
 
 
 def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, float]:
@@ -126,13 +118,16 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     """
     desc = get_mean(mean)
     lo, hi = check_pair(x, y)
-    lower = _hh_lower(desc, lo, hi)
-    return lower, (lower if lo == hi else desc.ordered(*pulled_pair(lo, hi, 0.5)))
+    if lo == hi:  # without forming the pulled pair, which overflows at (1e308, 1e308)
+        return lo, lo
+    return _hh_lower(desc, lo, hi), desc.ordered(*pulled_pair(lo, hi, 0.5))
 
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
-    return _hh_refined(get_mean(mean), *check_pair(x, y))
+    desc = get_mean(mean)
+    lo, hi = check_pair(x, y)
+    return lo if lo == hi else _hh_refined(desc, lo, hi)
 
 
 def envelope_lemma(kind: str, u: float) -> tuple[float, float]:
@@ -197,14 +192,14 @@ def run_chain_suite(spec: ChainSpec,
                     tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every chain term on a pair grid and report margins.
 
-    Each pair is checked once; the terms see it ordered.  An invalid pair
+    Each pair is checked once; at a tie every term is lo.  An invalid pair
     or a term failure at a point records the point as skipped and flags it
     in the report instead of aborting the whole run.  A NaN margin counts
     as the worst: it makes the minimum margin NaN and fails the chain.
     """
     if pairs is None:
         pairs = default_pair_grid()
-    evaluators = [term.ordered for _, term in spec.terms]
+    evaluators = [term.evaluator for _, term in spec.terms]
     records = []
     skipped = []
     min_margin = math.inf
@@ -212,7 +207,8 @@ def run_chain_suite(spec: ChainSpec,
     for x, y in pairs:
         try:
             lo, hi = check_pair(x, y)
-            values = tuple([ordered(lo, hi) for ordered in evaluators])
+            values = (tuple([evaluate(lo, hi) for evaluate in evaluators]) if lo < hi
+                      else (lo,) * len(evaluators))
         except Exception as exc:  # noqa: BLE001 - recorded, point skipped
             skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
             continue

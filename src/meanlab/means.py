@@ -57,6 +57,8 @@ class MeanDescriptor(Frozen):
     The evaluator receives an ordered pair (lo, hi) with 0 < lo < hi.  A call
     validates and orders its arguments (which makes the mean symmetric), then
     runs `ordered`, the unchecked core that returns lo exactly when lo == hi.
+    A tie is decided there, or once by a caller that then calls `evaluator`: per
+    chain point, in `hh_bounds`/`hh_refined_lower` and in `seiffert_of_mean`.
 
     Catalog means also know their Seiffert function's shape on (0, 1)
     ("affine", "convex" or "concave"; it drives the shape-preservation
@@ -272,10 +274,11 @@ def seiffert_of_mean(mean: str | MeanDescriptor) -> SeiffertFunction:
     derivative, if it has one, is attached.
     """
     desc = get_mean(mean)
-    ordered = desc.ordered
+    evaluator = desc.evaluator
 
     def func(z: float) -> float:
-        return z / ordered(1.0 - z, 1.0 + z)
+        lo, hi = 1.0 - z, 1.0 + z  # both 1.0 for z <= 2^-54
+        return z / (lo if lo == hi else evaluator(lo, hi))
 
     return SeiffertFunction(func, desc.derivative, name=f"f[{desc.id}]")
 
