@@ -17,12 +17,12 @@ _EXPORTS = {
                "NonConvergenceError"),
     "means": ("MeanDescriptor", "SeiffertFunction", "CATALOG", "MEAN_IDS",
               "get_mean", "eval_mean", "relative_half_spread", "seiffert_bounds",
-              "seiffert_of_mean", "mean_of_seiffert", "deform", "deform_mean"),
+              "seiffert_of_mean", "mean_of_seiffert", "deform", "deform_mean", "agm",
+              "v_mean"),
     "calculus": ("GridSpec", "ShapeVerdict", "integrate", "apply_i_operator", "i_envelope",
                  "derivative_estimate", "i_operator_on", "probe_shape"),
-    "elliptic": ("agm", "ellip_k", "ellip_e", "ellip_k_prime",
-                 "agm_seiffert", "agm_seiffert_prime", "agm_coefficient",
-                 "agm_coefficient_ratio", "v_mean"),
+    "elliptic": ("ellip_k", "ellip_e", "ellip_k_prime", "agm_seiffert",
+                 "agm_seiffert_prime", "agm_coefficient", "agm_coefficient_ratio"),
     "harmonic": ("RepresentationVerdict", "PairCatalogEntry", "PAIR_CATALOG",
                  "NON_REPRESENTABLE_IDS", "construct_candidate", "check_representable",
                  "verify_identity", "log_envelope_check", "default_pairs",

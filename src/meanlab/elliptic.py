@@ -1,4 +1,4 @@
-"""Arithmetic-geometric mean and complete elliptic integrals.
+"""The AGM iteration and complete elliptic integrals, functions of a modulus.
 
 Conventions: the modulus z enters quadratically,
 
@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from operator import truediv
 
-from ._pairs import check_pair, check_unit, half_spread
+from ._pairs import check_unit
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "agm",
     "ellip_k",
     "ellip_e",
     "ellip_k_prime",
@@ -37,7 +36,6 @@ __all__ = [
     "agm_seiffert_prime",
     "agm_coefficient",
     "agm_coefficient_ratio",
-    "v_mean",
     "v_seiffert_prime",
 ]
 
@@ -67,12 +65,6 @@ SERIES_MAX_TERMS = 10_000
 ORACLE_TOL = 1e-13
 
 
-def agm(x: float, y: float) -> float:
-    """Common limit of the coupled arithmetic/geometric iteration."""
-    lo, hi = check_pair(x, y)
-    return lo if lo == hi else _agm(lo, hi)
-
-
 def _agm(a: float, b: float) -> float:  # AGM's catalog evaluator: 0 < a <= b, unchecked
     steps = 0
     while b - a > AGM_RTOL * b:
@@ -98,7 +90,8 @@ def _check_modulus(z: float) -> float:
 def _power_series(name: str, ratio, z: float, scale: float = 1.0) -> float:
     """scale * (1 + t_1 + t_2 + ...) with t_m = t_{m-1} ratio(m) z^2.
 
-    Each ratio(m) lies in (0, 1), so the tail after t_m is below t_m / (1 - z^2).
+    Each ratio(m) lies in (0, 1), or in (1, 9/8] for K', which sums only at
+    z < 0.1; either way the tail after t_m is below t_m / (1 - z^2).
     """
     z2 = z * z
     total = term = 1.0
@@ -186,14 +179,18 @@ def ellip_e(z: float, method: str = "agm") -> float:
 
 
 def ellip_k_prime(z: float) -> float:
-    """dK/dz via E(z)/(z (1-z^2)) - K(z)/z.
+    """dK/dz, for z from 0.1 up via E(z)/(z (1-z^2)) - K(z)/z.
 
-    The formula is singular at z = 0 although K is even there; the true
-    limit is exposed as a special case returning 0.
+    Below 0.1 those two terms of size K/z cancel (relative error about
+    eps/z^2), so K' is summed there as (pi/2) sum over m >= 1 of
+    2m a_m z^(2m-1), a_m = ((2m-1)!!/(2m)!!)^2.  K'(0) = 0.
     """
     if float(z) == 0.0:
         return 0.0
     fz = check_unit(z)
+    if fz < 0.1:  # (pi z / 4) (1 + 9/8 z^2 + ...), term ratio (2m+1)^2 / (4m(m+1))
+        return _power_series("K' series", lambda m: truediv((2 * m + 1) ** 2, 4 * m * (m + 1)),
+                             fz, 0.25 * math.pi * fz)
     one_minus = (1.0 - fz) * (1.0 + fz)
     return ellip_e(fz) / (fz * one_minus) - ellip_k(fz) / fz
 
@@ -237,26 +234,8 @@ def agm_seiffert_prime(z: float) -> float:
                          check_unit(z))
 
 
-def v_mean(x: float, y: float) -> float:
-    """The mean pi H(x,y) / (2 E(z)), z the relative half-spread.
-
-    Geometrically (for the ellipse with semi-axes A and G) this is the
-    ratio of the inscribed disc's area to the semi-perimeter; here it
-    matters as the mean whose Seiffert function is z times the derivative
-    of the AGM Seiffert function.
-    """
-    lo, hi = check_pair(x, y)
-    return lo if lo == hi else _v_mean(lo, hi)
-
-
-def _v_mean(lo: float, hi: float) -> float:  # V's catalog evaluator: 0 < lo < hi, unchecked
-    z = half_spread(lo, hi)
-    harmonic = 2.0 * lo * hi / (lo + hi)
-    return 0.5 * math.pi * harmonic / ellip_e(z)
-
-
 def v_seiffert_prime(z: float) -> float:
-    """Derivative of the Seiffert function of v_mean, in closed form.
+    """Derivative of the Seiffert function of the mean V, in closed form.
 
     v(z) = (2/pi) z E(z) / (1 - z^2), and with dE/dz = (E - K)/z,
 

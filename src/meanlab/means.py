@@ -48,6 +48,8 @@ __all__ = [
     "mean_of_seiffert",
     "deform",
     "deform_mean",
+    "agm",
+    "v_mean",
 ]
 
 
@@ -57,8 +59,9 @@ class MeanDescriptor(Frozen):
     The evaluator receives an ordered pair (lo, hi) with 0 < lo < hi.  A call
     validates and orders its arguments (which makes the mean symmetric), then
     runs `ordered`, the unchecked core that returns lo exactly when lo == hi.
-    A tie is decided there, or once by a caller that then calls `evaluator`: per
-    chain point, in `hh_bounds`/`hh_refined_lower` and in `seiffert_of_mean`.
+    A pair is decided in five places: `ordered`, each chain point, `hh_bounds`,
+    `hh_refined_lower` and the function of `seiffert_of_mean`; the last four
+    call `evaluator`.  `agm` and `v_mean` are catalog rows.
 
     Catalog means also know their Seiffert function's shape on (0, 1)
     ("affine", "convex" or "concave"; it drives the shape-preservation
@@ -169,6 +172,10 @@ def _first_seiffert(lo: float, hi: float) -> float:
     return (hi - lo) / (2.0 * angle)
 
 
+def _elliptic_harmonic(lo: float, hi: float) -> float:
+    return 0.5 * math.pi * _harmonic(lo, hi) / elliptic.ellip_e(half_spread(lo, hi))
+
+
 def _from_spread(inv: Callable[[float], float]) -> Callable[[float, float], float]:
     # |x-y| / (2 g(z)) for the means defined through a function of z alone
     def evaluator(lo: float, hi: float) -> float:
@@ -224,7 +231,9 @@ _register("NS", "Neuman-Sandor mean", _from_spread(math.asinh), "|x-y|/(2 arsinh
 _register("AGM", "arithmetic-geometric mean", elliptic._agm,
           "Gauss iteration limit; equals pi/(2 K(z)) on (1-z, 1+z)", "convex",
           lambda z: 2.0 / math.pi * elliptic.ellip_e(z) / ((1.0 - z) * (1.0 + z)))
-_register("V", "elliptic harmonic companion of AGM", elliptic._v_mean,
+# V: for the ellipse with semi-axes A and G, the inscribed disc's area over the
+# semi-perimeter; its Seiffert function is z times the AGM's Seiffert derivative
+_register("V", "elliptic harmonic companion of AGM", _elliptic_harmonic,
           "pi H(x,y)/(2 E(z))", "convex", elliptic.v_seiffert_prime)
 _register("SIN", "sine mean", _from_spread(math.sin), "|x-y|/(2 sin z)", "concave",
           math.cos)
@@ -245,6 +254,8 @@ _register("COSHMEAN", "arithmetic over hyperbolic cosine",
           lambda z: math.cosh(z) + z * math.sinh(z))
 
 MEAN_IDS: tuple[str, ...] = tuple(CATALOG)
+agm = CATALOG["AGM"]  # the two elliptic means are their rows
+v_mean = CATALOG["V"]
 
 
 def get_mean(mean: str | MeanDescriptor) -> MeanDescriptor:
@@ -305,8 +316,8 @@ def mean_of_seiffert(f: SeiffertFunction | Callable[[float], float],
         z = half_spread(lo, hi)
         value = f(z)
         lower, upper = z / (1.0 + z), z / (1.0 - z)  # half_spread put z in (0, 1)
-        if (value < lower - BOUND_CHECK_TOL * max(1.0, lower)
-                or value > upper + BOUND_CHECK_TOL * max(1.0, upper)):
+        if not (lower - BOUND_CHECK_TOL * max(1.0, lower) <= value
+                <= upper + BOUND_CHECK_TOL * max(1.0, upper)):  # a NaN fails too
             raise SeiffertBoundError(z, value, lower, upper)
         return (hi - lo) / (2.0 * value)
 

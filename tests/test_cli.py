@@ -319,6 +319,7 @@ COLD_STARTS = [
       "urllib.parse"]),
     # only the quadrature routes to K and E need calculus
     ([["eval", "--mean", "AGM", "1", "3"],
+      ["eval", "--mean", "V", "1", "3"],
       ["seiffert", "--mean", "V", "--z", "0.5"],
       ["deform", "--mean", "AGM", "--t", "0.5", "1", "3"]],
      ["meanlab.calculus", "meanlab.reporting", "heapq", "dataclasses", "inspect", "pathlib",

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import scipy.special as sp
 
@@ -228,6 +229,25 @@ class TestEllipKPrime:
         h = 1e-5
         fd = (ellip_k(z + h) - ellip_k(z - h)) / (2.0 * h)
         assert ellip_k_prime(z) == pytest.approx(fd, rel=1e-6)
+
+    def test_against_mpmath(self):
+        # below z = 0.1 the closed form loses about eps/z^2; the series must not
+        with mpmath.workdps(60):
+            def exact(z):
+                z = mpmath.mpf(z)
+                m = z * z
+                return mpmath.ellipe(m) / (z * (1 - m)) - mpmath.ellipk(m) / z
+
+            top = math.log(0.9)
+            for i in range(200):
+                z = math.exp(math.log(1e-12) + i * (top - math.log(1e-12)) / 199)
+                ref = exact(z)
+                assert abs((ellip_k_prime(z) - ref) / ref) <= 1e-13, z
+
+    def test_series_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "SERIES_MAX_TERMS", 2)
+        with pytest.raises(NonConvergenceError, match="K' series"):
+            ellip_k_prime(0.05)
 
     def test_domain(self):
         # 0 is the special case K'(0) = 0, tested above

@@ -13,6 +13,7 @@ from meanlab import (
     MEAN_IDS,
     DomainError,
     GridSpec,
+    MeanDescriptor,
     SeiffertBoundError,
     SeiffertFunction,
     UnknownMeanError,
@@ -28,6 +29,8 @@ from meanlab import (
     seiffert_of_mean,
 )
 from meanlab._pairs import MAX_HALF_SPREAD, check_pair, half_spread
+from meanlab.harmonic import default_pairs
+from meanlab.suite import check_roundtrip
 
 positive_args = st.floats(min_value=1e-6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -259,6 +262,13 @@ class TestMeanOfSeiffert:
         assert err.value.z == 0.5
         assert err.value.value == 0.25
 
+    def test_nan_value_fails_with_its_witness(self):
+        m = mean_of_seiffert(lambda z: math.nan)
+        with pytest.raises(SeiffertBoundError) as err:
+            m(1, 3)
+        assert err.value.z == 0.5
+        assert math.isnan(err.value.value)
+
     @pytest.mark.parametrize("mean_id", MEAN_IDS)
     def test_roundtrip(self, mean_id, pair_grid_50):
         original = get_mean(mean_id)
@@ -266,6 +276,24 @@ class TestMeanOfSeiffert:
         for x, y in pair_grid_50:
             ref = original(x, y)
             assert abs(rebuilt(x, y) - ref) <= 1e-12 * ref
+
+
+class TestRoundtripCheck:
+    def test_planted_nan_fails_the_record(self, monkeypatch):
+        # suite check 01 folds its deviations with max(), which dropped a NaN
+        tanh = CATALOG["TANH"]
+        # a pair whose rebuilt mean reads TANH at another pair, so only the reference is NaN
+        target = next(p for p in default_pairs(50, 1e-4, 0.99)
+                      if (1.0 - half_spread(*p), 1.0 + half_spread(*p)) != p)
+
+        def planted(lo, hi):
+            return math.nan if (lo, hi) == target else tanh.evaluator(lo, hi)
+
+        monkeypatch.setitem(CATALOG, "TANH", MeanDescriptor("TANH", tanh.display, planted))
+        (record,) = [r for r in check_roundtrip() if r.name == "TANH"]
+        assert not record.passed
+        assert math.isnan(record.margin)
+        assert record.detail == "max relative deviation nan"
 
 
 class TestDeform:

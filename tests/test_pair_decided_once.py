@@ -2,10 +2,12 @@
 
 `hh_bounds`, `hh_refined_lower`, `run_chain_suite` and the function of
 `seiffert_of_mean` decide a tie once and then call
-`MeanDescriptor.evaluator` instead of `ordered`.  The reference copies below
-are the earlier forms, which evaluated through `ordered` and summed
-reciprocals with a loop; the library must give the same bits, and the same
-exception with the same message, on every pair.
+`MeanDescriptor.evaluator` instead of `ordered`; `agm` and `v_mean` are the
+AGM and V catalog rows, not functions with a pair check of their own.  The
+reference copies below are the earlier forms, which evaluated through
+`ordered` and summed reciprocals with a loop, and the earlier `agm` and
+`v_mean`; the library must give the same bits, and the same exception with
+the same message, on every pair.
 """
 
 import math
@@ -15,6 +17,7 @@ from functools import partial
 
 import pytest
 
+import meanlab
 from meanlab import (
     CATALOG,
     CHAIN_NAMES,
@@ -28,7 +31,7 @@ from meanlab import (
     run_chain_suite,
     seiffert_of_mean,
 )
-from meanlab import inequalities
+from meanlab import elliptic, inequalities
 from meanlab._pairs import check_pair, half_spread, pulled_pair
 from meanlab.errors import MeanLabError
 from meanlab.inequalities import CHAIN_TOL, ChainPointRecord, ChainReport
@@ -106,6 +109,22 @@ def reference_run_chain_suite(spec, pairs, tol=CHAIN_TOL):
     passed = failing is None and not skipped
     return ChainReport(spec.name, tol, tuple(records), tuple(skipped),
                        min_margin, passed, failing)
+
+
+def reference_agm(x, y):
+    lo, hi = check_pair(x, y)
+    return lo if lo == hi else elliptic._agm(lo, hi)
+
+
+def reference_v_mean(x, y):
+    lo, hi = check_pair(x, y)
+    return lo if lo == hi else reference_v_evaluator(lo, hi)
+
+
+def reference_v_evaluator(lo, hi):
+    z = half_spread(lo, hi)
+    harmonic = 2.0 * lo * hi / (lo + hi)
+    return 0.5 * math.pi * harmonic / elliptic.ellip_e(z)
 
 
 _REFERENCE_BOUNDS = {inequalities._hh_lower: reference_hh_lower,
@@ -234,6 +253,34 @@ class TestSameBitsAsReference:
         reference = reference_seiffert_func(mean_id)
         for z in zs:
             assert bits(outcome(f, z)) == bits(outcome(reference, z)), z
+
+
+class TestEllipticMeansAreRows:
+    #: ties, the pair whose product underflows (AGM raises NonConvergenceError),
+    #: and pairs that fail the pair check
+    ROW_PAIRS = PAIRS + [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0), (math.nan, 1.0)]
+
+    def test_public_names_are_the_rows(self):
+        assert meanlab.agm is meanlab.CATALOG["AGM"] is meanlab.means.agm
+        assert meanlab.v_mean is meanlab.CATALOG["V"] is meanlab.means.v_mean
+
+    def test_elliptic_takes_no_pair(self):
+        names = vars(elliptic)
+        assert not {"agm", "v_mean", "_v_mean", "check_pair", "half_spread"} & set(names)
+
+    @pytest.mark.parametrize("name, reference", [("agm", reference_agm),
+                                                 ("v_mean", reference_v_mean)])
+    def test_same_bits_as_reference(self, name, reference):
+        library = getattr(meanlab, name)
+        raised = set()
+        for x, y in self.ROW_PAIRS:
+            expected = outcome(reference, x, y)
+            assert bits(outcome(library, x, y)) == bits(expected), (x, y)
+            if isinstance(expected, Raised):
+                raised.add(expected.kind.__name__)
+        assert "DomainError" in raised
+        if name == "agm":
+            assert "NonConvergenceError" in raised
 
 
 class TestTiePaths:
