@@ -32,12 +32,13 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from functools import partial
+from itertools import pairwise
 
 from ._frozen import Frozen, set_field
 from ._pairs import check_pair, check_unit, half_spread, pulled_pair
 from .errors import DomainError
 from .harmonic import PAIR_CATALOG, PairCatalogEntry, default_pairs
-from .means import MeanDescriptor, deform_mean, get_mean
+from .means import CATALOG, MeanDescriptor, deform_mean, get_mean
 
 __all__ = [
     "ChainSpec",
@@ -78,7 +79,10 @@ class ChainPointRecord(namedtuple("ChainPointRecord", "x y z values margins")):
 
     @property
     def worst_margin(self) -> float:
-        """The smallest margin, or NaN if any margin is NaN."""
+        """The smallest margin, or NaN if any margin is NaN.
+
+        `run_chain_suite` applies the same rule inline to each point it builds.
+        """
         return math.nan if any(map(math.isnan, self.margins)) else min(self.margins)
 
 
@@ -116,7 +120,7 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     the reverse) depends on the shape of n(u)/u; this just evaluates both
     sides.  For equal arguments both bounds collapse to x.
     """
-    desc = get_mean(mean)
+    desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)  # as in eval_mean
     lo, hi = check_pair(x, y)
     if lo == hi:  # without forming the pulled pair, which overflows at (1e308, 1e308)
         return lo, lo
@@ -125,7 +129,7 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
-    desc = get_mean(mean)
+    desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)
     lo, hi = check_pair(x, y)
     return lo if lo == hi else _hh_refined(desc, lo, hi)
 
@@ -213,10 +217,11 @@ def run_chain_suite(spec: ChainSpec,
             skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
             continue
         a = 0.5 * (lo + hi)
-        margins = tuple([(upper - lower) / a for lower, upper in zip(values, values[1:])])
-        record = ChainPointRecord(x, y, half_spread(lo, hi), values, margins)
-        records.append(record)
-        worst = record.worst_margin
+        margins = tuple([(upper - lower) / a for lower, upper in pairwise(values)])
+        # tuple.__new__ skips the Python frame of the namedtuple's __new__
+        records.append(tuple.__new__(ChainPointRecord,
+                                     (x, y, half_spread(lo, hi), values, margins)))
+        worst = math.nan if any(map(math.isnan, margins)) else min(margins)  # as worst_margin
         # a NaN replaces any number and is never replaced
         if not worst >= min_margin and min_margin == min_margin:
             min_margin = worst

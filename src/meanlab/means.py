@@ -270,7 +270,9 @@ def get_mean(mean: str | MeanDescriptor) -> MeanDescriptor:
 
 def eval_mean(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """Evaluate a mean at a positive pair; M(x, x) = x exactly."""
-    return get_mean(mean)(x, y)
+    # a catalog id in one lookup; anything else, or a miss, through get_mean
+    desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)
+    return desc.ordered(*check_pair(x, y))
 
 
 # --------------------------------------------------------------------------

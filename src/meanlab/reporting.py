@@ -4,15 +4,16 @@ A report is deterministic apart from its timestamp: records are ordered
 by check name (then insertion order), floats are serialized with repr
 precision, and the summary counts are derived from the records.  JSON has
 no infinities or NaN, so the JSON report writes those as the strings the
-CSV cell holds ("inf", "-inf", "nan").  `build_report` and the renderers
-import datetime, json and csv where they run, so a command that needs
-only FORMATS does not load them.
+CSV cell holds ("inf", "-inf", "nan").  The renderers import json and csv
+where they run, so a command that needs only FORMATS does not load them,
+and the timestamp comes from the built-in `time` module, not `datetime`.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import time
 from collections import namedtuple
 
 __all__ = [
@@ -53,13 +54,12 @@ class ReportDocument(namedtuple("ReportDocument", "tool version timestamp record
 
 def build_report(records: list[CheckRecord]) -> ReportDocument:
     """Assemble a document: records sorted by check name, tallied summary."""
-    from datetime import datetime, timezone
     ordered = tuple(sorted(records, key=lambda r: r.check))  # stable within a check
     n_pass = sum(1 for r in ordered if r.passed)
     return ReportDocument(
         tool=TOOL_NAME,
         version=TOOL_VERSION,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),  # UTC, ISO 8601
         records=ordered,
         summary={"pass": n_pass, "fail": len(ordered) - n_pass, "total": len(ordered)},
     )

@@ -45,6 +45,15 @@ _REF_SPOTS = {
 _SECH2_AT_1 = 0.41997434161402606  # 1/cosh(1)^2
 
 
+def _worst(pick, values: list[float]) -> float:
+    """min or max (`pick`) of values, or NaN if any is NaN.
+
+    The bare builtins drop a NaN unless it comes first, which would let a
+    fault that yields NaN pass a check.
+    """
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
 def check_roundtrip() -> list[CheckRecord]:
     """Mean -> Seiffert function -> mean reproduces every catalog mean."""
     records = []
@@ -53,11 +62,11 @@ def check_roundtrip() -> list[CheckRecord]:
     for mean_id in MEAN_IDS:
         original = get_mean(mean_id)
         rebuilt = mean_of_seiffert(seiffert_of_mean(original))
-        worst = 0.0
+        devs = []
         for x, y in pairs:
             ref = original(x, y)
-            dev = abs(rebuilt(x, y) - ref) / ref
-            worst = dev if dev != dev else max(worst, dev)  # a NaN sticks: max(nan, d) is nan
+            devs.append(abs(rebuilt(x, y) - ref) / ref)
+        worst = _worst(max, devs)
         records.append(CheckRecord("01-roundtrip", mean_id, worst <= tol,
                                     margin=tol - worst,
                                     detail=f"max relative deviation {worst:.3e}"))
@@ -136,18 +145,16 @@ def check_elliptic_cross_validation() -> list[CheckRecord]:
     """Three K routes agree pairwise; the K' formula matches differences."""
     records = []
     tol = 1e-12
-    worst = {"agm-vs-series": 0.0, "agm-vs-quadrature": 0.0, "series-vs-quadrature": 0.0}
+    devs = {"agm-vs-series": [], "agm-vs-quadrature": [], "series-vs-quadrature": []}
     for z in [0.05 * k for k in range(0, 19)]:  # 0.0 .. 0.90
         k_agm = elliptic.ellip_k(z, method="agm")
         k_series = elliptic.ellip_k(z, method="series")
         k_quad = elliptic.ellip_k(z, method="quadrature")
-        worst["agm-vs-series"] = max(worst["agm-vs-series"],
-                                     abs(k_agm - k_series) / k_agm)
-        worst["agm-vs-quadrature"] = max(worst["agm-vs-quadrature"],
-                                         abs(k_agm - k_quad) / k_agm)
-        worst["series-vs-quadrature"] = max(worst["series-vs-quadrature"],
-                                            abs(k_series - k_quad) / k_agm)
-    for name, dev in worst.items():
+        devs["agm-vs-series"].append(abs(k_agm - k_series) / k_agm)
+        devs["agm-vs-quadrature"].append(abs(k_agm - k_quad) / k_agm)
+        devs["series-vs-quadrature"].append(abs(k_series - k_quad) / k_agm)
+    for name, values in devs.items():
+        dev = _worst(max, values)
         records.append(CheckRecord("05-elliptic-cross-validation", f"K-{name}",
                                     dev <= tol, margin=tol - dev,
                                     detail=f"max relative deviation {dev:.3e} for z <= 0.9"))
@@ -213,7 +220,7 @@ def check_inequality_chains() -> list[CheckRecord]:
     for mean_id, ((x, y), expected) in _REF_SPOTS.items():
         name = chain_of[mean_id]
         values = [term(x, y) for _, term in builtin_chain(name).terms]
-        dev = max(abs(v - e) / abs(e) for v, e in zip(values, expected))
+        dev = _worst(max, [abs(v - e) / abs(e) for v, e in zip(values, expected)])
         records.append(CheckRecord("07-inequality-chains", f"{name}-spot-values",
                                     dev <= 5e-6, margin=5e-6 - dev, x=x, y=y,
                                     detail=f"max relative deviation {dev:.3e} "
@@ -229,15 +236,15 @@ def check_envelope_lemmas() -> list[CheckRecord]:
     n_c = seiffert_of_mean("C")
     n_r = seiffert_of_mean("R")
     for kind, target, n in (("arctan", math.atan, n_c), ("arsinh", math.asinh, n_r)):
-        order_margin = math.inf
-        coincide_dev = 0.0
+        gaps = []
+        devs = []
         for u in us:
             lower, upper = envelope_lemma(kind, u)
             value = target(u)
-            order_margin = min(order_margin, upper - value, value - lower)
-            coincide_dev = max(coincide_dev,
-                               abs(upper - 2.0 * n(u / 2.0)),
-                               abs(lower - 0.5 * (u + n(u))))
+            gaps += upper - value, value - lower
+            devs += abs(upper - 2.0 * n(u / 2.0)), abs(lower - 0.5 * (u + n(u)))
+        order_margin = _worst(min, gaps)
+        coincide_dev = _worst(max, devs)
         records.append(CheckRecord("08-envelope-lemmas", f"{kind}-strict-order",
                                     order_margin > 0.0, margin=order_margin,
                                     detail=f"min gap {order_margin:.3e} on 1000 points"))
@@ -262,9 +269,8 @@ def check_operator_properties() -> list[CheckRecord]:
     i_tables = {mean_id: dict(zip(i_zs, i_operator_on(f, i_zs))) for mean_id, f in funcs.items()}
     i_values = {mean_id: [table[z] for z in probe_zs] for mean_id, table in i_tables.items()}
 
-    mono_ok = True
     mono_pairs = 0
-    worst_mono = math.inf
+    mono_gaps = [math.inf]  # the worst gap is inf when no pair is ordered
     for i, id1 in enumerate(MEAN_IDS):
         for id2 in MEAN_IDS[i + 1:]:
             if all(a <= b for a, b in zip(values[id1], values[id2])):
@@ -274,25 +280,24 @@ def check_operator_properties() -> list[CheckRecord]:
             else:
                 continue
             mono_pairs += 1
-            gap = min(hi - lo for lo, hi in zip(i_values[lo_id], i_values[hi_id]))
-            worst_mono = min(worst_mono, gap)
-            if gap < -slack:
-                mono_ok = False
-    records.append(CheckRecord("09-operator-properties", "I-monotone", mono_ok,
+            mono_gaps += [hi - lo for lo, hi in zip(i_values[lo_id], i_values[hi_id])]
+    worst_mono = _worst(min, mono_gaps)
+    records.append(CheckRecord("09-operator-properties", "I-monotone", worst_mono >= -slack,
                                 margin=worst_mono,
                                 detail=f"{mono_pairs} ordered pairs, worst gap "
                                        f"{worst_mono:.3e}"))
 
-    env_margin = math.inf
+    env_gaps = []
     for mean_id in MEAN_IDS:
         for z, value in zip(probe_zs, i_values[mean_id]):
             lower, upper = i_envelope(z)
-            env_margin = min(env_margin, value - lower, upper - value)
+            env_gaps += value - lower, upper - value
+    env_margin = _worst(min, env_gaps)
     records.append(CheckRecord("09-operator-properties", "I-envelope",
                                 env_margin > -slack, margin=env_margin,
                                 detail=f"worst envelope gap {env_margin:.3e}"))
 
-    vanish_worst = max(abs(table[1e-6]) for table in i_tables.values())
+    vanish_worst = _worst(max, [abs(table[1e-6]) for table in i_tables.values()])
     records.append(CheckRecord("09-operator-properties", "I-vanishes-at-0",
                                 vanish_worst <= 2e-6, margin=2e-6 - vanish_worst,
                                 detail=f"max |I(f)(1e-6)| = {vanish_worst:.3e}"))
@@ -301,12 +306,13 @@ def check_operator_properties() -> list[CheckRecord]:
         shape = CATALOG[mean_id].shape
         f = funcs[mean_id]
         verdict = probe_shape(i_tables[mean_id].__getitem__, probe_grid)
-        sandwich = math.inf
+        gaps = []
         for z, value in zip(probe_zs, i_values[mean_id]):
             if shape == "concave":
-                sandwich = min(sandwich, z - value, value - f(z))
+                gaps += z - value, value - f(z)
             else:
-                sandwich = min(sandwich, value - z, f(z) - value)
+                gaps += value - z, f(z) - value
+        sandwich = _worst(min, gaps)
         if shape == "affine":
             shape_ok = abs(sandwich) <= slack  # I(f) = f = z up to quadrature
         else:

@@ -414,6 +414,27 @@ class TestIOperatorOn:
         assert first <= 26_000
         assert evals == first
 
+    def test_planted_nan_fails_the_operator_check(self, monkeypatch):
+        # suite check 09 folded with min()/max(), which dropped a NaN unless it
+        # came first; here I(f_L) is NaN at 1e-6 and at the probe point 0.3
+        from meanlab import suite
+
+        i_operator_on = suite.i_operator_on
+
+        def planted(f, zs):
+            values = i_operator_on(f, zs)
+            if f.name == "f[L]":
+                for z in (1e-6, 0.1 * 3):
+                    values[zs.index(z)] = math.nan
+            return values
+
+        monkeypatch.setattr(suite, "i_operator_on", planted)
+        records = {r.name: r for r in suite.check_operator_properties()}
+        for name in ("I-monotone", "I-envelope", "I-vanishes-at-0", "shape-preserved-L"):
+            assert not records[name].passed, name
+            assert math.isnan(records[name].margin), name
+        assert records["shape-preserved-G"].passed
+
 
 class TestDerivativeEstimate:
     def test_arcsin(self):

@@ -325,13 +325,14 @@ COLD_STARTS = [
      ["meanlab.calculus", "meanlab.reporting", "heapq", "dataclasses", "inspect", "pathlib",
       "urllib.parse"]),
     ([["harmonic", "check", "--mean", "SIN", "--format", "csv"]],
-     ["meanlab.inequalities", "meanlab.suite", "dataclasses", "inspect", "pathlib",
-      "urllib.parse"]),
+     ["meanlab.inequalities", "meanlab.suite", "datetime", "dataclasses", "inspect",
+      "pathlib", "urllib.parse"]),
     ([["harmonic", "verify", "--mean", "L", "--repr", "H", "--format", "csv"]],
-     ["meanlab.inequalities", "meanlab.suite", "json", "dataclasses", "inspect",
+     ["meanlab.inequalities", "meanlab.suite", "json", "datetime", "dataclasses", "inspect",
       "pathlib", "urllib.parse"]),
     ([["ineq", "run", "--chain", "hh-P-G", "--format", "csv"]],
-     ["meanlab.suite", "json", "dataclasses", "inspect", "pathlib", "urllib.parse"]),
+     ["meanlab.suite", "json", "datetime", "dataclasses", "inspect", "pathlib",
+      "urllib.parse"]),
 ]
 
 

@@ -27,7 +27,7 @@ from meanlab import (
 )
 from meanlab import elliptic
 from meanlab.elliptic import AGM_MAX_STEPS, AGM_RTOL, v_seiffert_prime
-from meanlab.suite import check_coefficient_facts
+from meanlab.suite import check_coefficient_facts, check_elliptic_cross_validation
 
 # scipy's ellipk/ellipe take the parameter m = z^2
 MODULI = [0.05 * k for k in range(0, 19)]  # 0.0 .. 0.90
@@ -369,6 +369,23 @@ class TestCoefficientCheck:
         verdicts = self.verdicts()
         assert verdicts["cm-below-1"] is False
         assert verdicts["ratio-identity"] is False
+
+
+class TestCrossValidationCheck:
+    def test_planted_nan_fails_the_records(self, monkeypatch):
+        # suite check 05 folded its deviations with max(), which dropped a NaN
+        ellip_k = elliptic.ellip_k
+
+        def planted(z, method="agm"):
+            return math.nan if method == "quadrature" and z == 0.05 * 9 else ellip_k(z, method)
+
+        monkeypatch.setattr(elliptic, "ellip_k", planted)
+        records = {r.name: r for r in check_elliptic_cross_validation()}
+        for name in ("K-agm-vs-quadrature", "K-series-vs-quadrature"):
+            assert not records[name].passed
+            assert math.isnan(records[name].margin)
+            assert records[name].detail == "max relative deviation nan for z <= 0.9"
+        assert records["K-agm-vs-series"].passed
 
 
 class TestPinnedBits:

@@ -29,6 +29,7 @@ from meanlab import (
     run_chain_suite,
     seiffert_of_mean,
 )
+from meanlab import suite
 
 
 class TestHHBounds:
@@ -349,3 +350,41 @@ class TestGenericSandwich:
         fn = (lambda z: 2.0 / math.pi * ellip_e(z) / ((1.0 - z) * (1.0 + z)))
         verdict = probe_shape(fn, GridSpec(0.001, 0.95, 101))
         assert verdict.classification == "convex"
+
+
+class TestPlantedNaNInSuiteChecks:
+    """Suite checks 07 and 08 folded with min()/max(), which dropped a NaN
+    unless it came first; a NaN planted at one point must fail its record."""
+
+    def test_chain_spot_values(self, monkeypatch):
+        spec = builtin_chain("hh-L-H")
+        label, term = spec.terms[1]  # not the first term, whose NaN max() kept
+
+        def planted(lo, hi):
+            return math.nan if (lo, hi) == (1.0, 3.0) else term.evaluator(lo, hi)
+
+        terms = list(spec.terms)
+        terms[1] = label, MeanDescriptor(term.id, term.display, planted)
+        patched = ChainSpec(spec.name, tuple(terms))
+        monkeypatch.setattr(suite, "builtin_chain",
+                            lambda name: patched if name == spec.name else builtin_chain(name))
+        records = {r.name: r for r in suite.check_inequality_chains()}
+        spot = records["hh-L-H-spot-values"]
+        assert not spot.passed
+        assert math.isnan(spot.margin)
+        assert records["hh-L-H"].passed  # the pair grid does not hold (1, 3)
+
+    def test_envelope_lemmas(self, monkeypatch):
+        target = GridSpec(0.0005, 0.9995, 1000).points()[500]
+
+        def planted(kind, u):
+            lower, upper = envelope_lemma(kind, u)
+            return (math.nan, upper) if kind == "arctan" and u == target else (lower, upper)
+
+        monkeypatch.setattr(suite, "envelope_lemma", planted)
+        records = {r.name: r for r in suite.check_envelope_lemmas()}
+        for name in ("arctan-strict-order", "arctan-hh-coincidence"):
+            assert not records[name].passed, name
+            assert math.isnan(records[name].margin), name
+        assert records["arsinh-strict-order"].passed
+        assert records["arsinh-hh-coincidence"].passed

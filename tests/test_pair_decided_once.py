@@ -3,11 +3,14 @@
 `hh_bounds`, `hh_refined_lower`, `run_chain_suite` and the function of
 `seiffert_of_mean` decide a tie once and then call
 `MeanDescriptor.evaluator` instead of `ordered`; `agm` and `v_mean` are the
-AGM and V catalog rows, not functions with a pair check of their own.  The
-reference copies below are the earlier forms, which evaluated through
-`ordered` and summed reciprocals with a loop, and the earlier `agm` and
-`v_mean`; the library must give the same bits, and the same exception with
-the same message, on every pair.
+AGM and V catalog rows, not functions with a pair check of their own.
+`eval_mean`, `hh_bounds` and `hh_refined_lower` resolve a catalog id with one
+dictionary lookup, and `run_chain_suite` builds its point records and worst
+margins inline.  The reference copies below are the earlier forms, which
+evaluated through `ordered` and `MeanDescriptor.__call__`, summed
+reciprocals with a loop, and read `ChainPointRecord.worst_margin`, and the
+earlier `agm` and `v_mean`; the library must give the same bits, and the
+same exception with the same message, on every pair.
 """
 
 import math
@@ -26,6 +29,8 @@ from meanlab import (
     ChainSpec,
     MeanDescriptor,
     builtin_chain,
+    deform_mean,
+    eval_mean,
     hh_bounds,
     hh_refined_lower,
     run_chain_suite,
@@ -62,6 +67,10 @@ def reference_hh_refined(n, lo, hi):
         return n_value
     n_half = n.ordered(*pulled_pair(lo, hi, 0.5))
     return reference_harmonic_of(0.5 * (lo + hi), n_half, n_half, n_value)
+
+
+def reference_eval_mean(mean, x, y):
+    return get_mean(mean)(x, y)
 
 
 def reference_hh_bounds(mean, x, y):
@@ -177,6 +186,12 @@ EDGE_PAIRS = [
 
 PAIRS = seeded_pairs(17, 2000) + EDGE_PAIRS
 
+#: Pairs that fail the pair check.
+INVALID_PAIRS = [(0.0, 1.0), (-1.0, 2.0), (math.nan, 1.0), (1.0, math.inf)]
+
+#: Ids that are no catalog id; a list is unhashable, so its lookup raises TypeError.
+BAD_IDS = ["nope", None, 3, []]
+
 
 Raised = namedtuple("Raised", "kind message")
 
@@ -185,7 +200,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (MeanLabError, ArithmeticError) as exc:
+    except (MeanLabError, ArithmeticError, TypeError) as exc:
         return Raised(type(exc), str(exc))
 
 
@@ -235,9 +250,9 @@ class TestSameBitsAsReference:
         assert any(reason.startswith("NonConvergenceError") for *_, reason in report.skipped)
 
     @staticmethod
-    def assert_same_report(spec, reference):
-        expected = reference_run_chain_suite(reference, PAIRS)
-        report = run_chain_suite(spec, PAIRS)
+    def assert_same_report(spec, reference, pairs=PAIRS):
+        expected = reference_run_chain_suite(reference, pairs)
+        report = run_chain_suite(spec, pairs)
         assert len(report.points) == len(expected.points)
         for got, want in zip(report.points, expected.points):
             assert bits(got) == bits(want), (got.x, got.y)
@@ -253,6 +268,72 @@ class TestSameBitsAsReference:
         reference = reference_seiffert_func(mean_id)
         for z in zs:
             assert bits(outcome(f, z)) == bits(outcome(reference, z)), z
+
+
+class TestIdLookup:
+    """eval_mean, hh_bounds and hh_refined_lower against the earlier get_mean route."""
+
+    MEANS = [*MEAN_IDS, deform_mean("P", 0.3), *BAD_IDS]
+
+    @pytest.mark.parametrize("mean", MEANS, ids=repr)
+    def test_eval_mean(self, mean):
+        for x, y in PAIRS + INVALID_PAIRS:
+            expected = outcome(reference_eval_mean, mean, x, y)
+            assert bits(outcome(eval_mean, mean, x, y)) == bits(expected), (x, y)
+
+    @pytest.mark.parametrize("mean", [deform_mean("P", 0.3), *BAD_IDS], ids=repr)
+    def test_hh_bounds_and_refined_lower(self, mean):
+        for x, y in PAIRS[:200] + EDGE_PAIRS + INVALID_PAIRS:
+            for library, reference in ((hh_bounds, reference_hh_bounds),
+                                       (hh_refined_lower, reference_hh_refined_lower)):
+                expected = outcome(reference, mean, x, y)
+                assert bits(outcome(library, mean, x, y)) == bits(expected), (x, y)
+
+    def test_bad_ids_raise_as_before(self):
+        kinds = [outcome(eval_mean, mean, 1.0, 3.0) for mean in BAD_IDS]
+        assert [k.kind.__name__ for k in kinds] == ["UnknownMeanError"] * 3 + ["TypeError"]
+        assert kinds[-1].message == "unhashable type: 'list'"
+
+
+class TestPlantedChainPoints:
+    """A chain point with a NaN margin, a term that raises, invalid pairs and
+    ties in one grid, against the reference loop, which reads worst_margin."""
+
+    NAN_PAIR = PAIRS[7]
+    RAISE_PAIR = PAIRS[11]
+    GRID = PAIRS[:40] + INVALID_PAIRS + [(2.0, 2.0), (5e-324, 5e-324)]
+
+    @classmethod
+    def planted(cls, lo, hi):
+        if (lo, hi) == tuple(sorted(cls.NAN_PAIR)):
+            return math.nan
+        if (lo, hi) == tuple(sorted(cls.RAISE_PAIR)):
+            raise ZeroDivisionError("planted")
+        return CATALOG["C"].evaluator(lo, hi)
+
+    def spec(self, last):
+        # the planted term comes last, so the NaN is not the first margin, which min() keeps
+        terms = (("G", CATALOG["G"]), ("A", CATALOG["A"]))
+        return ChainSpec("planted", (*terms, ("X", MeanDescriptor("X", "", last))))
+
+    def test_same_report_as_reference(self):
+        spec = self.spec(self.planted)
+        report = TestSameBitsAsReference.assert_same_report(spec, spec, self.GRID)
+        assert math.isnan(report.min_margin) and not report.passed
+        assert report.failing_point == self.NAN_PAIR
+        reasons = {(x, y): reason for x, y, reason in report.skipped}
+        assert reasons[self.RAISE_PAIR] == "ZeroDivisionError: planted"
+        assert set(INVALID_PAIRS) <= reasons.keys()
+        (nan_point,) = [p for p in report.points if (p.x, p.y) == self.NAN_PAIR]
+        assert not math.isnan(nan_point.margins[0]) and math.isnan(nan_point.margins[1])
+        assert math.isnan(nan_point.worst_margin)
+
+    def test_points_are_chain_point_records(self):
+        report = run_chain_suite(self.spec(CATALOG["C"].evaluator), self.GRID)
+        for point in report.points:
+            assert type(point) is ChainPointRecord
+            assert point == ChainPointRecord(*point)
+        assert report.min_margin == min(p.worst_margin for p in report.points)
 
 
 class TestEllipticMeansAreRows:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+from datetime import datetime, timezone
 
 import pytest
 
@@ -43,6 +45,25 @@ class TestBuildReport:
         ])
         assert [(r.check, r.name) for r in doc.records] == [
             ("01-a", "x"), ("02-b", "first"), ("02-b", "second")]
+
+    @pytest.mark.parametrize("moment, stamp", [
+        (0.0, "1970-01-01T00:00:00+00:00"),
+        (951_782_400.5, "2000-02-29T00:00:00+00:00"),
+        (1_700_000_000.0, "2023-11-14T22:13:20+00:00"),
+        (4_102_444_799.0, "2099-12-31T23:59:59+00:00"),
+    ])
+    def test_timestamp_is_utc_iso_to_the_second(self, monkeypatch, moment, stamp):
+        # the format of datetime's isoformat(timespec="seconds") in UTC
+        assert datetime.fromtimestamp(moment, timezone.utc).isoformat(timespec="seconds") == stamp
+        gmtime = time.gmtime
+        monkeypatch.setattr(time, "gmtime", lambda secs=None: gmtime(moment))
+        assert build_report([]).timestamp == stamp
+
+    def test_timestamp_reads_the_clock(self):
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        stamp = datetime.fromisoformat(build_report([]).timestamp)
+        assert before <= stamp <= datetime.now(timezone.utc)
+        assert stamp.utcoffset().total_seconds() == 0
 
 
 class TestRendering:
