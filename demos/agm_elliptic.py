@@ -14,11 +14,11 @@ from meanlab import (
     agm,
     agm_coefficient,
     agm_coefficient_ratio,
-    agm_seiffert,
     agm_seiffert_prime,
     ellip_e,
     ellip_k,
     ellip_k_prime,
+    seiffert_of_mean,
     v_mean,
 )
 
@@ -62,9 +62,10 @@ for m in (1, 2, 5, 10, 100, 1000):
 print("  so 1 < f'(z) < 1/(1-z): the AGM mean admits a harmonic representation")
 
 print()
-print("the Seiffert function f(z) = (2/pi) z K(z) and its derivative:")
+print("the Seiffert function f(z) = z / AGM(1-z, 1+z) = (2/pi) z K(z), its derivative:")
+f = seiffert_of_mean("AGM")
 for z in (0.2, 0.5, 0.8):
-    print(f"  z = {z:3.1f}:  f = {agm_seiffert(z):.12f}   "
+    print(f"  z = {z:3.1f}:  f = {f(z):.12f}   "
           f"f' = {agm_seiffert_prime(z):.12f}   band: (1, {1 / (1 - z):.3f})")
 
 print()

@@ -21,8 +21,8 @@ _EXPORTS = {
               "v_mean"),
     "calculus": ("GridSpec", "ShapeVerdict", "integrate", "apply_i_operator", "i_envelope",
                  "derivative_estimate", "i_operator_on", "probe_shape"),
-    "elliptic": ("ellip_k", "ellip_e", "ellip_k_prime", "agm_seiffert",
-                 "agm_seiffert_prime", "agm_coefficient", "agm_coefficient_ratio"),
+    "elliptic": ("ellip_k", "ellip_e", "ellip_k_prime", "agm_seiffert_prime",
+                 "agm_coefficient", "agm_coefficient_ratio"),
     "harmonic": ("RepresentationVerdict", "PairCatalogEntry", "PAIR_CATALOG",
                  "NON_REPRESENTABLE_IDS", "construct_candidate", "check_representable",
                  "verify_identity", "log_envelope_check", "default_pairs",

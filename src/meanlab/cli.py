@@ -244,6 +244,7 @@ def _cmd_harmonic_construct(args) -> int:
 
 def _cmd_harmonic_verify(args) -> int:
     from .harmonic import IDENTITY_TOL, verify_identity
+    from .means import worst
     from .reporting import CheckRecord
     tol = _default_tol(args.tol, IDENTITY_TOL)
     report = verify_identity(args.mean, args.representer,
@@ -253,7 +254,7 @@ def _cmd_harmonic_verify(args) -> int:
             check="harmonic-verify",
             name=f"{report.represented}~{report.representer}[{i:02d}]",
             passed=r.passed, x=r.x, y=r.y, z=r.z,
-            margin=tol - max(r.product_deviation, r.operator_deviation),
+            margin=tol - worst(max, (r.product_deviation, r.operator_deviation)),
             detail=r.note)
         for i, r in enumerate(report.points)
     ]

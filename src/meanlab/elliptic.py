@@ -32,7 +32,6 @@ __all__ = [
     "ellip_k",
     "ellip_e",
     "ellip_k_prime",
-    "agm_seiffert",
     "agm_seiffert_prime",
     "agm_coefficient",
     "agm_coefficient_ratio",
@@ -152,8 +151,6 @@ def ellip_e(z: float, method: str = "agm") -> float:
     fz = float(z)
     if not 0.0 <= fz <= 1.0:
         raise DomainError(f"E needs a modulus in [0, 1], got {z!r}")
-    if fz == 0.0:
-        return 0.5 * math.pi
     if fz == 1.0:
         return 1.0
     if method == "agm":
@@ -193,12 +190,6 @@ def ellip_k_prime(z: float) -> float:
                              fz, 0.25 * math.pi * fz)
     one_minus = (1.0 - fz) * (1.0 + fz)
     return ellip_e(fz) / (fz * one_minus) - ellip_k(fz) / fz
-
-
-def agm_seiffert(z: float) -> float:
-    """Seiffert function of the AGM mean: (2/pi) z K(z)."""
-    fz = check_unit(z)
-    return 2.0 / math.pi * fz * ellip_k(fz)
 
 
 def _c_ratio(m: int) -> tuple[int, int]:

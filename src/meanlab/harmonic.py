@@ -21,7 +21,9 @@ its derivative leaves the band (see `make_envelope_gap_example`), and the
 geometric mean is the canonical catalog case.
 
 Verdicts returned here are grid-based: "representable" means no violation
-was found on the probed grid at the stated tolerance.
+was found on the probed grid at the stated tolerance.  `verify_identity`
+records any pair whose evaluation fails, not only a failed quadrature, as a
+failed point.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
-from ._pairs import check_pair, half_spread, pulled_pair
+from ._pairs import check_pair, check_unit, half_spread, pulled_pair
 from .calculus import GridSpec, apply_i_operator, derivative_estimate, i_envelope, integrate
-from .errors import NonConvergenceError
-from .means import MeanDescriptor, SeiffertFunction, get_mean, seiffert_of_mean
+from .errors import MeanLabError, NonConvergenceError
+from .means import MeanDescriptor, SeiffertFunction, get_mean, seiffert_of_mean, worst
 
 __all__ = [
     "RepresentationVerdict",
@@ -141,27 +143,29 @@ def check_representable(m: SeiffertFunction,
     """Probe the band 1/(1+z) <= m'(z) <= 1/(1-z) on a grid.
 
     Falsified verdicts carry the witness z of the worst violation; a
-    passing verdict is explicitly grid-scoped.
+    passing verdict is explicitly grid-scoped.  A grid point outside
+    (0, 1) raises DomainError.
     """
     d = _derivative_of(m)
-    worst = math.inf
+    zs = [check_unit(z, "grid point") for z in grid.points()]
+    margin = math.inf
     witness = None
     try:
-        for z in grid.points():
+        for z in zs:
             dv = d(z)
             if math.isnan(dv):
                 raise ArithmeticError(f"derivative is NaN at z={z!r}")
             dist = min(dv - 1.0 / (1.0 + z), 1.0 / (1.0 - z) - dv)
-            if dist < worst:
-                worst = dist
+            if dist < margin:
+                margin = dist
                 witness = z
     except (ArithmeticError, NonConvergenceError, ValueError) as exc:
         return RepresentationVerdict("inconclusive", None, math.nan, grid,
                                      note=f"derivative evaluation failed: {exc}")
 
-    if worst < -REPRESENTABILITY_TOL:
-        return RepresentationVerdict("falsified", witness, worst, grid)
-    return RepresentationVerdict("representable", None, max(worst, 0.0), grid,
+    if margin < -REPRESENTABILITY_TOL:
+        return RepresentationVerdict("falsified", witness, margin, grid)
+    return RepresentationVerdict("representable", None, max(margin, 0.0), grid,
                                  note="no violation found on this grid")
 
 
@@ -183,8 +187,9 @@ class IdentityReport(namedtuple("IdentityReport", "represented representer tol p
 
     @property
     def max_deviation(self) -> float:
-        return max((max(r.product_deviation, r.operator_deviation)
-                    for r in self.points), default=0.0)
+        """The largest deviation of any point (0.0 without points), NaN if any is NaN."""
+        return worst(max, [0.0, *(dev for r in self.points
+                                  for dev in (r.product_deviation, r.operator_deviation))])
 
 
 def verify_identity(represented: str | MeanDescriptor,
@@ -193,7 +198,8 @@ def verify_identity(represented: str | MeanDescriptor,
                     tol: float = IDENTITY_TOL) -> IdentityReport:
     """Check 1/M = integral dt/N^{t} at each pair, plus m(z) vs I(n)(z).
 
-    Quadrature failures are recorded per point rather than raised.
+    A valid pair whose evaluation raises a MeanLabError or ArithmeticError
+    is a failed point with infinite deviations; an invalid pair raises.
     """
     m_desc = get_mean(represented)
     n_desc = get_mean(representer)
@@ -222,9 +228,10 @@ def verify_identity(represented: str | MeanDescriptor,
                 note = ""
             records.append(IdentityPointRecord(
                 x, y, z, dev1, dev2, dev1 <= tol and dev2 <= tol, note))
-        except NonConvergenceError as exc:
-            records.append(IdentityPointRecord(
-                x, y, z, math.inf, math.inf, False, f"quadrature failed: {exc}"))
+        except (MeanLabError, ArithmeticError) as exc:
+            note = (f"quadrature failed: {exc}" if isinstance(exc, NonConvergenceError)
+                    else f"{type(exc).__name__}: {exc}")
+            records.append(IdentityPointRecord(x, y, z, math.inf, math.inf, False, note))
     return IdentityReport(m_desc.id, n_desc.id, tol, tuple(records))
 
 
@@ -244,7 +251,8 @@ class EnvelopeReport(namedtuple("EnvelopeReport", "mean_id points")):
 
     @property
     def min_margin(self) -> float:
-        return min((r.margin for r in self.points), default=math.inf)
+        """The smallest margin of any point (inf without points), NaN if any is NaN."""
+        return worst(min, [math.inf, *(r.margin for r in self.points)])
 
 
 #: Relative slack for the log-envelope inequalities.

@@ -38,7 +38,7 @@ from ._frozen import Frozen, set_field
 from ._pairs import check_pair, check_unit, half_spread, pulled_pair
 from .errors import DomainError
 from .harmonic import PAIR_CATALOG, PairCatalogEntry, default_pairs
-from .means import CATALOG, MeanDescriptor, deform_mean, get_mean
+from .means import CATALOG, MeanDescriptor, deform_mean, get_mean, worst
 
 __all__ = [
     "ChainSpec",
@@ -83,7 +83,7 @@ class ChainPointRecord(namedtuple("ChainPointRecord", "x y z values margins")):
 
         `run_chain_suite` applies the same rule inline to each point it builds.
         """
-        return math.nan if any(map(math.isnan, self.margins)) else min(self.margins)
+        return worst(min, self.margins)
 
 
 class ChainReport(namedtuple("ChainReport",
@@ -221,7 +221,8 @@ def run_chain_suite(spec: ChainSpec,
         # tuple.__new__ skips the Python frame of the namedtuple's __new__
         records.append(tuple.__new__(ChainPointRecord,
                                      (x, y, half_spread(lo, hi), values, margins)))
-        worst = math.nan if any(map(math.isnan, margins)) else min(margins)  # as worst_margin
+        # means.worst(min, margins) written out, one Python frame less per point
+        worst = math.nan if any(map(math.isnan, margins)) else min(margins)
         # a NaN replaces any number and is never replaced
         if not worst >= min_margin and min_margin == min_margin:
             min_margin = worst

@@ -28,7 +28,7 @@ All values here are immutable and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 
 from . import elliptic
 from ._frozen import Frozen, set_field
@@ -50,6 +50,7 @@ __all__ = [
     "deform_mean",
     "agm",
     "v_mean",
+    "worst",
 ]
 
 
@@ -105,6 +106,13 @@ class SeiffertFunction(Frozen):
 
     def __call__(self, z: float) -> float:
         return self.func(check_unit(z))
+
+
+def worst(pick: Callable, values: Collection[float]) -> float:
+    """min or max (`pick`) of values, or NaN if any is NaN: the worst value of a
+    check or report.  The bare builtins drop a NaN unless it comes first, which
+    would let a fault that yields NaN pass."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
 
 
 def relative_half_spread(x: float, y: float) -> float:
@@ -303,8 +311,7 @@ BOUND_CHECK_TOL = 1e-9
 
 
 def mean_of_seiffert(f: SeiffertFunction | Callable[[float], float],
-                     mean_id: str | None = None,
-                     display: str | None = None) -> MeanDescriptor:
+                     mean_id: str | None = None) -> MeanDescriptor:
     """The mean M(x, y) = |x - y| / (2 f(z)) encoded by a Seiffert function.
 
     The returned evaluator checks the admissible band at every call and
@@ -312,7 +319,6 @@ def mean_of_seiffert(f: SeiffertFunction | Callable[[float], float],
     """
     name = getattr(f, "name", "") or "f"
     mean_id = mean_id or f"M({name})"
-    display = display or f"mean of {name}"
 
     def evaluator(lo: float, hi: float) -> float:
         z = half_spread(lo, hi)
@@ -323,7 +329,7 @@ def mean_of_seiffert(f: SeiffertFunction | Callable[[float], float],
             raise SeiffertBoundError(z, value, lower, upper)
         return (hi - lo) / (2.0 * value)
 
-    return MeanDescriptor(mean_id, display, evaluator,
+    return MeanDescriptor(mean_id, f"mean of {name}", evaluator,
                           note="constructed from a Seiffert function")
 
 

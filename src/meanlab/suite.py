@@ -28,7 +28,7 @@ from .harmonic import (
     verify_identity,
 )
 from .inequalities import CHAIN_NAMES, builtin_chain, envelope_lemma, run_chain_suite
-from .means import CATALOG, MEAN_IDS, get_mean, mean_of_seiffert, seiffert_of_mean
+from .means import CATALOG, MEAN_IDS, get_mean, mean_of_seiffert, seiffert_of_mean, worst
 from .reporting import CheckRecord
 
 __all__ = ["run_full_suite", "SUITE_CHECKS"]
@@ -45,15 +45,6 @@ _REF_SPOTS = {
 _SECH2_AT_1 = 0.41997434161402606  # 1/cosh(1)^2
 
 
-def _worst(pick, values: list[float]) -> float:
-    """min or max (`pick`) of values, or NaN if any is NaN.
-
-    The bare builtins drop a NaN unless it comes first, which would let a
-    fault that yields NaN pass a check.
-    """
-    return math.nan if any(map(math.isnan, values)) else pick(values)
-
-
 def check_roundtrip() -> list[CheckRecord]:
     """Mean -> Seiffert function -> mean reproduces every catalog mean."""
     records = []
@@ -66,10 +57,10 @@ def check_roundtrip() -> list[CheckRecord]:
         for x, y in pairs:
             ref = original(x, y)
             devs.append(abs(rebuilt(x, y) - ref) / ref)
-        worst = _worst(max, devs)
-        records.append(CheckRecord("01-roundtrip", mean_id, worst <= tol,
-                                    margin=tol - worst,
-                                    detail=f"max relative deviation {worst:.3e}"))
+        dev = worst(max, devs)
+        records.append(CheckRecord("01-roundtrip", mean_id, dev <= tol,
+                                    margin=tol - dev,
+                                    detail=f"max relative deviation {dev:.3e}"))
     return records
 
 
@@ -154,7 +145,7 @@ def check_elliptic_cross_validation() -> list[CheckRecord]:
         devs["agm-vs-quadrature"].append(abs(k_agm - k_quad) / k_agm)
         devs["series-vs-quadrature"].append(abs(k_series - k_quad) / k_agm)
     for name, values in devs.items():
-        dev = _worst(max, values)
+        dev = worst(max, values)
         records.append(CheckRecord("05-elliptic-cross-validation", f"K-{name}",
                                     dev <= tol, margin=tol - dev,
                                     detail=f"max relative deviation {dev:.3e} for z <= 0.9"))
@@ -220,7 +211,7 @@ def check_inequality_chains() -> list[CheckRecord]:
     for mean_id, ((x, y), expected) in _REF_SPOTS.items():
         name = chain_of[mean_id]
         values = [term(x, y) for _, term in builtin_chain(name).terms]
-        dev = _worst(max, [abs(v - e) / abs(e) for v, e in zip(values, expected)])
+        dev = worst(max, [abs(v - e) / abs(e) for v, e in zip(values, expected)])
         records.append(CheckRecord("07-inequality-chains", f"{name}-spot-values",
                                     dev <= 5e-6, margin=5e-6 - dev, x=x, y=y,
                                     detail=f"max relative deviation {dev:.3e} "
@@ -243,8 +234,8 @@ def check_envelope_lemmas() -> list[CheckRecord]:
             value = target(u)
             gaps += upper - value, value - lower
             devs += abs(upper - 2.0 * n(u / 2.0)), abs(lower - 0.5 * (u + n(u)))
-        order_margin = _worst(min, gaps)
-        coincide_dev = _worst(max, devs)
+        order_margin = worst(min, gaps)
+        coincide_dev = worst(max, devs)
         records.append(CheckRecord("08-envelope-lemmas", f"{kind}-strict-order",
                                     order_margin > 0.0, margin=order_margin,
                                     detail=f"min gap {order_margin:.3e} on 1000 points"))
@@ -281,7 +272,7 @@ def check_operator_properties() -> list[CheckRecord]:
                 continue
             mono_pairs += 1
             mono_gaps += [hi - lo for lo, hi in zip(i_values[lo_id], i_values[hi_id])]
-    worst_mono = _worst(min, mono_gaps)
+    worst_mono = worst(min, mono_gaps)
     records.append(CheckRecord("09-operator-properties", "I-monotone", worst_mono >= -slack,
                                 margin=worst_mono,
                                 detail=f"{mono_pairs} ordered pairs, worst gap "
@@ -292,15 +283,15 @@ def check_operator_properties() -> list[CheckRecord]:
         for z, value in zip(probe_zs, i_values[mean_id]):
             lower, upper = i_envelope(z)
             env_gaps += value - lower, upper - value
-    env_margin = _worst(min, env_gaps)
+    env_margin = worst(min, env_gaps)
     records.append(CheckRecord("09-operator-properties", "I-envelope",
                                 env_margin > -slack, margin=env_margin,
                                 detail=f"worst envelope gap {env_margin:.3e}"))
 
-    vanish_worst = _worst(max, [abs(table[1e-6]) for table in i_tables.values()])
+    vanish_dev = worst(max, [abs(table[1e-6]) for table in i_tables.values()])
     records.append(CheckRecord("09-operator-properties", "I-vanishes-at-0",
-                                vanish_worst <= 2e-6, margin=2e-6 - vanish_worst,
-                                detail=f"max |I(f)(1e-6)| = {vanish_worst:.3e}"))
+                                vanish_dev <= 2e-6, margin=2e-6 - vanish_dev,
+                                detail=f"max |I(f)(1e-6)| = {vanish_dev:.3e}"))
 
     for mean_id in MEAN_IDS:
         shape = CATALOG[mean_id].shape
@@ -312,7 +303,7 @@ def check_operator_properties() -> list[CheckRecord]:
                 gaps += z - value, value - f(z)
             else:
                 gaps += value - z, f(z) - value
-        sandwich = _worst(min, gaps)
+        sandwich = worst(min, gaps)
         if shape == "affine":
             shape_ok = abs(sandwich) <= slack  # I(f) = f = z up to quadrature
         else:

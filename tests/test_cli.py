@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from meanlab import builtin_chain, run_chain_suite
+from meanlab import CATALOG, MeanDescriptor, builtin_chain, run_chain_suite
+from meanlab.cli import run_command
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -158,13 +159,64 @@ class TestHarmonic:
         assert "MEANLAB_TOL must be finite and positive" in result.stderr
         assert result.stdout == ""
 
-    def test_inconclusive_check_writes_standard_json(self):
-        result = run_cli("harmonic", "check", "--mean", "TANH", "--zgrid", "0.5:1.5:5",
-                         "--format", "json")
-        assert result.returncode == 1
-        record = strict_json(result.stdout)["records"][0]
+    def test_inconclusive_check_writes_standard_json(self, monkeypatch, capsys):
+        tanh = CATALOG["TANH"]
+        monkeypatch.setitem(CATALOG, "TANH", MeanDescriptor(
+            "TANH", tanh.display, tanh.evaluator, derivative=lambda z: math.nan))
+        code = run_command(["harmonic", "check", "--mean", "TANH", "--format", "json"])
+        assert code == 1
+        record = strict_json(capsys.readouterr().out)["records"][0]
         assert record["margin"] == "nan"
         assert "status=inconclusive" in record["detail"]
+
+    @pytest.mark.parametrize("mean, zgrid", [("TANH", "0.5:1.5:5"), ("G", "1.2:1.5:3"),
+                                             ("T", "1.2:1.5:3"), ("A", "1.2:1.5:3"),
+                                             ("AGM", "1.2:1.5:3")])
+    def test_check_grid_outside_unit_interval_is_a_usage_error(self, mean, zgrid):
+        # G raised a TypeError, T and A were falsified at z = 1.2, AGM and TANH inconclusive
+        result = run_cli("harmonic", "check", "--mean", mean, "--zgrid", zgrid)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "grid point must lie in (0, 1)" in result.stderr
+
+    @pytest.mark.parametrize("mean, repr_, row, note", [
+        # the pulled pair's lo + hi overflows
+        ("L", "H", "1e308,1.7e308", "DomainError: arguments must be finite, got (inf, inf)"),
+        # V underflows to 0 at the pulled pairs
+        ("AGM", "V", "1e-300,1e-200", "ZeroDivisionError: float division by zero"),
+    ], ids=["L-H-overflow", "AGM-V-underflow"])
+    def test_verify_records_a_failing_evaluation(self, tmp_path, mean, repr_, row, note):
+        reports = []
+        for rows in (["1,3"], ["1,3", row]):
+            pair_file = tmp_path / "pairs.csv"
+            pair_file.write_text("x,y\n" + "\n".join(rows) + "\n")
+            result = run_cli("harmonic", "verify", "--mean", mean, "--repr", repr_,
+                             "--pairs", str(pair_file), "--format", "json")
+            reports.append((result.returncode, strict_json(result.stdout)["records"]))
+        (code_alone, (alone,)), (code, (kept, failed)) = reports
+        assert (code_alone, code) == (0, 1)
+        assert kept == alone
+        assert failed["pass"] is False
+        assert failed["margin"] == "-inf"
+        assert failed["detail"] == note
+
+    def test_verify_margin_is_nan_when_a_deviation_is(self, tmp_path, monkeypatch, capsys):
+        # L's row is NaN only at (0.5, 1.5), where the Seiffert function of
+        # the pair (1, 3) evaluates it, so only the operator deviation is NaN
+        log = CATALOG["L"]
+
+        def planted(lo, hi):
+            return math.nan if (lo, hi) == (0.5, 1.5) else log.evaluator(lo, hi)
+
+        monkeypatch.setitem(CATALOG, "L", MeanDescriptor("L", log.display, planted))
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_text("x,y\n1,3\n")
+        code = run_command(["harmonic", "verify", "--mean", "L", "--repr", "H",
+                            "--pairs", str(pair_file), "--format", "json"])
+        assert code == 1
+        (record,) = strict_json(capsys.readouterr().out)["records"]
+        assert record["pass"] is False
+        assert record["margin"] == "nan"
 
     def test_env_tolerance_must_be_numeric(self):
         import os

@@ -14,14 +14,12 @@ from meanlab import (
     agm,
     agm_coefficient,
     agm_coefficient_ratio,
-    agm_seiffert,
     agm_seiffert_prime,
     ellip_e,
     ellip_k,
     ellip_k_prime,
     eval_mean,
     integrate,
-    seiffert_bounds,
     seiffert_of_mean,
     v_mean,
 )
@@ -258,15 +256,12 @@ class TestEllipKPrime:
 
 class TestAgmSeiffert:
     def test_matches_correspondence(self, z_grid):
-        # z / AGM(1-z, 1+z) and (2/pi) z K(z) are the same identity
+        # z / AGM(1-z, 1+z) and (2/pi) z K(z) are the same identity; K summed
+        # as a series, independent of the AGM iteration
         f = seiffert_of_mean("AGM")
         for z in z_grid:
-            assert agm_seiffert(z) == pytest.approx(f(z), rel=1e-12)
-
-    def test_band_bounds(self, z_grid):
-        for z in z_grid:
-            lower, upper = seiffert_bounds(z)
-            assert lower <= agm_seiffert(z) <= upper
+            assert f(z) == pytest.approx(2.0 / math.pi * z * ellip_k(z, method="series"),
+                                         rel=1e-12)
 
     def test_derivative_series_vs_k_prime_route(self):
         # (2/pi) (z K(z))' = (2/pi)(K + z K')
@@ -293,7 +288,7 @@ class TestAgmSeiffert:
 
     def test_domain(self):
         for bad in (0.0, 1.0, math.nan, math.inf):
-            for fn in (agm_seiffert, agm_seiffert_prime, v_seiffert_prime):
+            for fn in (seiffert_of_mean("AGM"), agm_seiffert_prime, v_seiffert_prime):
                 with pytest.raises(DomainError):
                     fn(bad)
 

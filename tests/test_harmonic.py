@@ -6,6 +6,7 @@ import pytest
 
 from meanlab import (
     MEAN_IDS,
+    DomainError,
     NON_REPRESENTABLE_IDS,
     PAIR_CATALOG,
     MeanDescriptor,
@@ -129,6 +130,11 @@ class TestCheckRepresentable:
         verdict = check_representable(seiffert_of_mean(relabelled))
         assert verdict.status == "representable"
 
+    @pytest.mark.parametrize("mean_id", ["G", "T", "A", "AGM"])
+    def test_grid_outside_unit_interval_raises(self, mean_id):
+        with pytest.raises(DomainError, match=r"grid point must lie in \(0, 1\), got 1.2"):
+            check_representable(seiffert_of_mean(mean_id), GridSpec(1.2, 1.5, 3))
+
     def test_custom_grid_is_recorded(self):
         grid = GridSpec(0.1, 0.5, 11)
         verdict = check_representable(seiffert_of_mean("SIN"), grid)
@@ -158,6 +164,36 @@ class TestVerifyIdentity:
         report = verify_identity("L", "H", [(1e-12, 2.0)])
         assert not report.passed
         assert "quadrature failed" in report.points[0].note
+
+    @pytest.mark.parametrize("represented, representer, pair, note", [
+        ("L", "H", (1e308, 1.7e308), "DomainError: arguments must be finite, got (inf, inf)"),
+        ("AGM", "V", (1e-300, 1e-200), "ZeroDivisionError: float division by zero"),
+    ], ids=["L-H-overflow", "AGM-V-underflow"])
+    def test_evaluation_failure_recorded_per_point(self, represented, representer, pair, note):
+        report = verify_identity(represented, representer, [(1.0, 3.0), pair])
+        alone = verify_identity(represented, representer, [(1.0, 3.0)])
+        assert report.points[0] == alone.points[0]
+        failed = report.points[1]
+        assert (failed.product_deviation, failed.operator_deviation) == (math.inf, math.inf)
+        assert not failed.passed and failed.note == note
+        assert report.max_deviation == math.inf
+
+    def test_invalid_pair_still_raises(self):
+        with pytest.raises(DomainError):
+            verify_identity("L", "H", [(1.0, 3.0), (0.0, 1.0)])
+
+    def test_nan_deviation_is_the_max(self):
+        # the represented mean is NaN at the second of two pairs only
+        log = get_mean("L")
+        planted = MeanDescriptor("NANL", "L, NaN at (2, 5)",
+                                 lambda lo, hi: math.nan if (lo, hi) == (2.0, 5.0)
+                                 else log.evaluator(lo, hi))
+        report = verify_identity(planted, "H", [(1.0, 3.0), (2.0, 5.0)])
+        assert report.points[0].passed and not report.passed
+        assert math.isnan(report.max_deviation)
+
+    def test_max_deviation_without_points_is_zero(self):
+        assert verify_identity("L", "H", []).max_deviation == 0.0
 
     def test_wide_pair_converges(self):
         # z = 0.99999: I(f_H) near its singular end is within the budget
@@ -197,6 +233,15 @@ class TestLogEnvelope:
 
     def test_geometric_passes_default_grid(self):
         assert log_envelope_check("G", default_pairs(20)).passed
+
+    def test_nan_margin_is_the_min(self):
+        # H is NaN at (1e308, 1.7e308): 2 lo hi overflows, and so does lo + hi
+        report = log_envelope_check("H", [(1.0, 3.0), (1e308, 1.7e308)])
+        assert report.points[0].passed and math.isnan(report.points[1].margin)
+        assert math.isnan(report.min_margin) and not report.passed
+
+    def test_min_margin_without_points_is_inf(self):
+        assert log_envelope_check("H", []).min_margin == math.inf
 
     def test_near_minimum_mean_fails(self):
         near_min = MeanDescriptor("NEARMIN", "almost the minimum",
