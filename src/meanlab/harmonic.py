@@ -31,8 +31,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable
+from math import ldexp
 
-from ._pairs import check_pair, check_unit, half_spread, pulled_pair
+from ._pairs import check_pair, check_unit, half_spread, pulled_pair, unit_scale
 from .calculus import GridSpec, apply_i_operator, derivative_estimate, i_envelope, integrate
 from .errors import MeanLabError, NonConvergenceError
 from .means import MeanDescriptor, SeiffertFunction, get_mean, seiffert_of_mean, worst
@@ -211,7 +212,7 @@ def verify_identity(represented: str | MeanDescriptor,
 
     records = []
     for x, y in points:
-        lo, hi = check_pair(x, y)
+        _, lo, hi = unit_scale(*check_pair(x, y))  # both deviations are scale-free
         z = half_spread(lo, hi)
 
         def integrand(t: float) -> float:
@@ -271,19 +272,17 @@ def log_envelope_check(mean: str | MeanDescriptor,
         points = default_pairs()
     records = []
     for x, y in points:
-        lo, hi = check_pair(x, y)
+        e, lo, hi = unit_scale(*check_pair(x, y))  # the margin is taken at unit scale
         z = half_spread(lo, hi)
-        a = 0.5 * (x + y)
         value = desc.ordered(lo, hi)
         if z == 0.0:
             lower = upper = value
             margin = 0.0
         else:
-            d = abs(x - y)
-            upper, lower = (d / (2.0 * v) for v in i_envelope(z))
-            margin = min(value - lower, upper - value) / a
-        records.append(EnvelopePointRecord(
-            x, y, z, lower, value, upper, margin, margin >= -ENVELOPE_TOL))
+            upper, lower = ((hi - lo) / (2.0 * v) for v in i_envelope(z))
+            margin = min(value - lower, upper - value) / (0.5 * (lo + hi))
+        records.append(EnvelopePointRecord(x, y, z, ldexp(lower, e), ldexp(value, e),
+                                           ldexp(upper, e), margin, margin >= -ENVELOPE_TOL))
     return EnvelopeReport(desc.id, tuple(records))
 
 

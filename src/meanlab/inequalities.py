@@ -33,9 +33,11 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import partial
 from itertools import pairwise
+from math import ldexp
 
 from ._frozen import Frozen, set_field
-from ._pairs import check_pair, check_unit, half_spread, pulled_pair
+from ._pairs import (WINDOW_HI, WINDOW_LO, check_pair, check_unit, half_spread,
+                     pulled_pair, unit_scale)
 from .errors import DomainError
 from .harmonic import PAIR_CATALOG, PairCatalogEntry, default_pairs
 from .means import CATALOG, MeanDescriptor, deform_mean, get_mean, worst
@@ -108,7 +110,8 @@ def _hh_lower(n: MeanDescriptor, lo: float, hi: float) -> float:
 def _hh_refined(n: MeanDescriptor, lo: float, hi: float) -> float:
     """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair with lo < hi."""
     n_value = n.evaluator(lo, hi)
-    n_half = n.ordered(*pulled_pair(lo, hi, 0.5))  # the pulled pair can tie
+    a, b = pulled_pair(lo, hi, 0.5)  # it can tie, but needs no rescale: see MeanDescriptor
+    n_half = a if a == b else n.evaluator(a, b)
     # left to right, as in _hh_lower
     return 4.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_half + 1.0 / n_half + 1.0 / n_value)
 
@@ -122,16 +125,25 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     """
     desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)  # as in eval_mean
     lo, hi = check_pair(x, y)
-    if lo == hi:  # without forming the pulled pair, which overflows at (1e308, 1e308)
+    if lo == hi:  # no evaluation at a tie
         return lo, lo
-    return _hh_lower(desc, lo, hi), desc.ordered(*pulled_pair(lo, hi, 0.5))
+    if WINDOW_LO <= lo and hi <= WINDOW_HI:
+        return _hh_lower(desc, lo, hi), desc.ordered(*pulled_pair(lo, hi, 0.5))
+    e, lo, hi = unit_scale(lo, hi)
+    return (ldexp(_hh_lower(desc, lo, hi), e),
+            ldexp(desc.ordered(*pulled_pair(lo, hi, 0.5)), e))
 
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
     desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)
     lo, hi = check_pair(x, y)
-    return lo if lo == hi else _hh_refined(desc, lo, hi)
+    if lo == hi:
+        return lo
+    if WINDOW_LO <= lo and hi <= WINDOW_HI:
+        return _hh_refined(desc, lo, hi)
+    e, lo, hi = unit_scale(lo, hi)
+    return ldexp(_hh_refined(desc, lo, hi), e)
 
 
 def envelope_lemma(kind: str, u: float) -> tuple[float, float]:
@@ -196,9 +208,10 @@ def run_chain_suite(spec: ChainSpec,
                     tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every chain term on a pair grid and report margins.
 
-    Each pair is checked once; at a tie every term is lo.  An invalid pair
-    or a term failure at a point records the point as skipped and flags it
-    in the report instead of aborting the whole run.  A NaN margin counts
+    Each pair is checked once; at a tie every term is lo, and a pair outside
+    [2^-500, 2^500] is evaluated at unit scale, as `ordered` does.  An invalid
+    pair or a term failure at a point records the point as skipped and flags
+    it in the report instead of aborting the whole run.  A NaN margin counts
     as the worst: it makes the minimum margin NaN and fails the chain.
     """
     if pairs is None:
@@ -211,13 +224,18 @@ def run_chain_suite(spec: ChainSpec,
     for x, y in pairs:
         try:
             lo, hi = check_pair(x, y)
+            e = 0
+            if not (WINDOW_LO <= lo and hi <= WINDOW_HI):  # values and margins at unit scale
+                e, lo, hi = unit_scale(lo, hi)
             values = (tuple([evaluate(lo, hi) for evaluate in evaluators]) if lo < hi
                       else (lo,) * len(evaluators))
+            a = 0.5 * (lo + hi)
+            margins = tuple([(upper - lower) / a for lower, upper in pairwise(values)])
+            if e:
+                values = tuple([ldexp(value, e) for value in values])
         except Exception as exc:  # noqa: BLE001 - recorded, point skipped
             skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
             continue
-        a = 0.5 * (lo + hi)
-        margins = tuple([(upper - lower) / a for lower, upper in pairwise(values)])
         # tuple.__new__ skips the Python frame of the namedtuple's __new__
         records.append(tuple.__new__(ChainPointRecord,
                                      (x, y, half_spread(lo, hi), values, margins)))

@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection
+from math import ldexp
 
 from . import elliptic
 from ._frozen import Frozen, set_field
-from ._pairs import check_pair, check_unit, half_spread, pulled_pair
+from ._pairs import (WINDOW_HI, WINDOW_LO, check_pair, check_unit, half_spread,
+                     pulled_pair, unit_scale)
 from .errors import DomainError, SeiffertBoundError, UnknownMeanError
 
 __all__ = [
@@ -62,7 +64,12 @@ class MeanDescriptor(Frozen):
     runs `ordered`, the unchecked core that returns lo exactly when lo == hi.
     A pair is decided in five places: `ordered`, each chain point, `hh_bounds`,
     `hh_refined_lower` and the function of `seiffert_of_mean`; the last four
-    call `evaluator`.  `agm` and `v_mean` are catalog rows.
+    call `evaluator`.  The first four evaluate a pair outside the window
+    [2^-500, 2^500] at (lo/2^e, hi/2^e) and multiply the value by 2^e, with e
+    from `_pairs.unit_scale`.  So an evaluator sees a pair near 1, unless its
+    exponents lie more than 1024 apart, and so does the pulled pair that a
+    deformed mean or N^{1/2} forms from it.
+    `agm` and `v_mean` are catalog rows.
 
     Catalog means also know their Seiffert function's shape on (0, 1)
     ("affine", "convex" or "concave"; it drives the shape-preservation
@@ -86,7 +93,12 @@ class MeanDescriptor(Frozen):
 
     def ordered(self, lo: float, hi: float) -> float:
         """The mean at a pair known to satisfy 0 < lo <= hi; checks nothing."""
-        return lo if lo == hi else self.evaluator(lo, hi)
+        if lo == hi:
+            return lo
+        if WINDOW_LO <= lo and hi <= WINDOW_HI:
+            return self.evaluator(lo, hi)
+        e, lo, hi = unit_scale(lo, hi)
+        return ldexp(self.evaluator(lo, hi), e)
 
     def __call__(self, x: float, y: float) -> float:
         return self.ordered(*check_pair(x, y))
@@ -367,10 +379,11 @@ def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
     ft = _check_deform(t)
     if ft == 1.0:
         return desc
-    ordered = desc.ordered
+    inner = desc.evaluator
 
     def evaluator(lo: float, hi: float) -> float:
-        return ordered(*pulled_pair(lo, hi, ft))
+        a, b = pulled_pair(lo, hi, ft)  # it can tie, but needs no rescale: see MeanDescriptor
+        return a if a == b else inner(a, b)
 
     return MeanDescriptor(f"{desc.id}^{{{ft:g}}}", f"{desc.display} deformed by t={ft:g}",
                           evaluator, note=f"t-deformation of {desc.id}")

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from meanlab import CATALOG, MeanDescriptor, builtin_chain, run_chain_suite
+from meanlab import (CATALOG, DomainError, MeanDescriptor, builtin_chain, eval_mean,
+                     run_chain_suite)
 from meanlab.cli import run_command
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,11 +48,12 @@ class TestEval:
         assert "unknown mean id" in result.stderr
 
     def test_agm_underflow_is_an_error(self):
-        # a*b underflows to 0; the AGM loop stops at its step cap
+        # a*b underflowed to 0 and the AGM loop stopped at its step cap (exit 2);
+        # the pair is now evaluated at unit scale
         result = run_cli("eval", "--mean", "AGM", "1e-300", "1e-200")
-        assert result.returncode == 2
-        assert "AGM not converged" in result.stderr
-        assert result.stdout == ""
+        assert result.returncode == 0 and result.stderr == ""
+        assert 1e-300 < float(result.stdout) < 1e-200
+        assert result.stdout == f"{eval_mean('AGM', 1e-300, 1e-200):.15g}\n"
 
 
 class TestSeiffertAndDeform:
@@ -179,26 +181,48 @@ class TestHarmonic:
         assert result.stdout == ""
         assert "grid point must lie in (0, 1)" in result.stderr
 
-    @pytest.mark.parametrize("mean, repr_, row, note", [
-        # the pulled pair's lo + hi overflows
-        ("L", "H", "1e308,1.7e308", "DomainError: arguments must be finite, got (inf, inf)"),
-        # V underflows to 0 at the pulled pairs
-        ("AGM", "V", "1e-300,1e-200", "ZeroDivisionError: float division by zero"),
+    # planted representer rows that raise what the real rows raised at
+    # (1e308, 1.7e308) and (1e-300, 1e-200) before those pairs were rescaled
+    @pytest.mark.parametrize("mean, repr_, error, note", [
+        ("L", "H", DomainError("arguments must be finite, got (inf, inf)"),
+         "DomainError: arguments must be finite, got (inf, inf)"),
+        ("AGM", "V", ZeroDivisionError("float division by zero"),
+         "ZeroDivisionError: float division by zero"),
     ], ids=["L-H-overflow", "AGM-V-underflow"])
-    def test_verify_records_a_failing_evaluation(self, tmp_path, mean, repr_, row, note):
+    def test_verify_records_a_failing_evaluation(self, tmp_path, monkeypatch, capsys,
+                                                 mean, repr_, error, note):
+        # the representer's row raises at every pulled pair of (200, 600) only
+        row = CATALOG[repr_]
+
+        def planted(lo, hi):
+            if lo >= 200.0:
+                raise error
+            return row.evaluator(lo, hi)
+
+        monkeypatch.setitem(CATALOG, repr_, MeanDescriptor(repr_, row.display, planted))
         reports = []
-        for rows in (["1,3"], ["1,3", row]):
+        for rows in (["1,3"], ["1,3", "200,600"]):
             pair_file = tmp_path / "pairs.csv"
             pair_file.write_text("x,y\n" + "\n".join(rows) + "\n")
-            result = run_cli("harmonic", "verify", "--mean", mean, "--repr", repr_,
-                             "--pairs", str(pair_file), "--format", "json")
-            reports.append((result.returncode, strict_json(result.stdout)["records"]))
+            code = run_command(["harmonic", "verify", "--mean", mean, "--repr", repr_,
+                                "--pairs", str(pair_file), "--format", "json"])
+            reports.append((code, strict_json(capsys.readouterr().out)["records"]))
         (code_alone, (alone,)), (code, (kept, failed)) = reports
         assert (code_alone, code) == (0, 1)
         assert kept == alone
         assert failed["pass"] is False
         assert failed["margin"] == "-inf"
         assert failed["detail"] == note
+
+    def test_verify_passes_far_out_pairs(self, tmp_path):
+        # the pulled pair of (1e308, 1.7e308) overflowed, and V underflowed at (1e-300, 1e-299)
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_text("x,y\n1,3\n1e308,1.7e308\n1e-300,1e-299\n")
+        for mean, repr_ in (("L", "H"), ("AGM", "V")):
+            result = run_cli("harmonic", "verify", "--mean", mean, "--repr", repr_,
+                             "--pairs", str(pair_file), "--format", "json")
+            assert result.returncode == 0, result.stdout
+            assert [r["pass"] for r in strict_json(result.stdout)["records"]] == [True] * 3
 
     def test_verify_margin_is_nan_when_a_deviation_is(self, tmp_path, monkeypatch, capsys):
         # L's row is NaN only at (0.5, 1.5), where the Seiffert function of

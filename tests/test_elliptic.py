@@ -94,6 +94,9 @@ def log_uniform_pairs(seed, count, exponents):
 
 
 class TestAgmStepCap:
+    """The loop of the AGM row, `elliptic._agm`, called directly: the row
+    evaluates a pair outside [2^-500, 2^500] at unit scale, where it converges."""
+
     #: Pairs whose product a*b is subnormal: the longest runs that still end
     #: between the arguments (49 and 50 steps).
     LONGEST_RUNS = [(3.3715159654063397e-163, 1.8912304686331676e-161),
@@ -108,20 +111,22 @@ class TestAgmStepCap:
             if steps > AGM_MAX_STEPS:
                 assert before == 0.0  # only a run whose a*b underflowed gets this far
                 with pytest.raises(NonConvergenceError):
-                    eval_mean("AGM", lo, hi)
+                    elliptic._agm(lo, hi)
                 stopped += 1
             else:
-                assert eval_mean("AGM", lo, hi) == before, (lo, hi)
+                assert elliptic._agm(lo, hi) == before, (lo, hi)
         assert 0 < stopped < len(pairs) // 2
 
     def test_underflowing_pair_stops_at_the_cap(self):
         with pytest.raises(NonConvergenceError) as err:
-            eval_mean("AGM", 1e-300, 1e-200)
+            elliptic._agm(1e-300, 1e-200)
         assert f"after {AGM_MAX_STEPS} steps" in str(err.value)
         assert 0.0 <= err.value.best <= 1e-200
+        assert 1e-300 < eval_mean("AGM", 1e-300, 1e-200) < 1e-200
 
     def test_overflowing_pair_still_returns_inf(self):
-        assert eval_mean("AGM", 1e308, 1.7e308) == math.inf
+        assert elliptic._agm(1e308, 1.7e308) == math.inf
+        assert 1e308 < eval_mean("AGM", 1e308, 1.7e308) < 1.7e308
 
     def test_ellip_e_keeps_its_bits(self):
         zs = [k / 1000 for k in range(1, 1000)] + [1.0 - 2.0 ** -k for k in range(1, 54)]

@@ -165,18 +165,43 @@ class TestVerifyIdentity:
         assert not report.passed
         assert "quadrature failed" in report.points[0].note
 
-    @pytest.mark.parametrize("represented, representer, pair, note", [
-        ("L", "H", (1e308, 1.7e308), "DomainError: arguments must be finite, got (inf, inf)"),
-        ("AGM", "V", (1e-300, 1e-200), "ZeroDivisionError: float division by zero"),
+    # planted representer rows that raise what the real rows raised at
+    # (1e308, 1.7e308) and (1e-300, 1e-200) before those pairs were rescaled
+    @pytest.mark.parametrize("represented, representer, error, note", [
+        ("L", "H", DomainError("arguments must be finite, got (inf, inf)"),
+         "DomainError: arguments must be finite, got (inf, inf)"),
+        ("AGM", "V", ZeroDivisionError("float division by zero"),
+         "ZeroDivisionError: float division by zero"),
     ], ids=["L-H-overflow", "AGM-V-underflow"])
-    def test_evaluation_failure_recorded_per_point(self, represented, representer, pair, note):
-        report = verify_identity(represented, representer, [(1.0, 3.0), pair])
+    def test_evaluation_failure_recorded_per_point(self, represented, representer, error,
+                                                   note):
+        # the representer raises at every pulled pair of (200, 600) only
+        row = get_mean(representer)
+
+        def planted(lo, hi):
+            if lo >= 200.0:
+                raise error
+            return row.evaluator(lo, hi)
+
+        representer = MeanDescriptor(row.id, row.display, planted)
+        report = verify_identity(represented, representer, [(1.0, 3.0), (200.0, 600.0)])
         alone = verify_identity(represented, representer, [(1.0, 3.0)])
         assert report.points[0] == alone.points[0]
         failed = report.points[1]
         assert (failed.product_deviation, failed.operator_deviation) == (math.inf, math.inf)
         assert not failed.passed and failed.note == note
         assert report.max_deviation == math.inf
+
+    @pytest.mark.parametrize("represented, representer", [("L", "H"), ("AGM", "V")])
+    def test_far_out_pairs_pass_at_unit_scale(self, represented, representer):
+        # the pulled pairs of (1e308, 1.7e308) overflowed, and H and V
+        # underflowed at the tiny pairs; both deviations are scale-free
+        far = [(1e308, 1.7e308), (1e-300, 1e-299), (5e-324, 1e-323)]
+        report = verify_identity(represented, representer, [(1.0, 1.7), *far])
+        assert report.passed, report.max_deviation
+        unit = report.points[0]
+        assert report.points[1].product_deviation <= 1e-15
+        assert report.points[1].operator_deviation == unit.operator_deviation
 
     def test_invalid_pair_still_raises(self):
         with pytest.raises(DomainError):
@@ -235,10 +260,25 @@ class TestLogEnvelope:
         assert log_envelope_check("G", default_pairs(20)).passed
 
     def test_nan_margin_is_the_min(self):
-        # H is NaN at (1e308, 1.7e308): 2 lo hi overflows, and so does lo + hi
-        report = log_envelope_check("H", [(1.0, 3.0), (1e308, 1.7e308)])
+        # the mean is NaN at the second of two pairs only
+        harmonic_row = get_mean("H")
+        planted = MeanDescriptor("NANH", "H, NaN at (2, 5)",
+                                 lambda lo, hi: math.nan if (lo, hi) == (2.0, 5.0)
+                                 else harmonic_row.evaluator(lo, hi))
+        report = log_envelope_check(planted, [(1.0, 3.0), (2.0, 5.0)])
         assert report.points[0].passed and math.isnan(report.points[1].margin)
         assert math.isnan(report.min_margin) and not report.passed
+
+    def test_overflowing_pair_is_checked_at_unit_scale(self):
+        # x + y overflows at both far pairs; (2^1022, 3 * 2^1022) is (1, 3) scaled
+        far = (2.0 ** 1022, 3.0 * 2.0 ** 1022)
+        report = log_envelope_check("H", [(1.0, 3.0), far, (1e308, 1.7e308)])
+        unit, scaled, other = report.points
+        assert scaled.margin == unit.margin and scaled.z == unit.z
+        assert (scaled.lower, scaled.value, scaled.upper) == tuple(
+            2.0 ** 1022 * v for v in (unit.lower, unit.value, unit.upper))
+        assert other.lower < other.value < other.upper < other.y
+        assert report.passed
 
     def test_min_margin_without_points_is_inf(self):
         assert log_envelope_check("H", []).min_margin == math.inf
@@ -247,6 +287,12 @@ class TestLogEnvelope:
         near_min = MeanDescriptor("NEARMIN", "almost the minimum",
                                   lambda lo, hi: lo + 1e-3 * (hi - lo))
         assert not log_envelope_check(near_min, [(1.0, 3.0)]).passed
+        # where x + y overflows too, with the margin the pair has at unit scale
+        pairs = [(1.0, 3.0), (2.0 ** 1022, 3.0 * 2.0 ** 1022), (1.0, 1.7), (1e308, 1.7e308)]
+        unit, scaled, unit_other, other = log_envelope_check(near_min, pairs).points
+        assert not scaled.passed and scaled.margin == unit.margin < -0.22
+        assert not other.passed
+        assert other.margin == pytest.approx(unit_other.margin, rel=1e-14)
 
 
 class TestEnvelopeGapExample:
