@@ -101,19 +101,22 @@ class ChainReport(namedtuple("ChainReport",
 
 
 def _hh_lower(n: MeanDescriptor, lo: float, hi: float) -> float:
-    """H(A, N) at an ordered pair with lo < hi."""
+    """H(A, N) at an ordered pair with lo < hi, kept in [lo, hi]."""
     n_value = n.evaluator(lo, hi)
     # left to right, not sum(): from Python 3.12 sum() of floats is compensated
-    return 2.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_value)
+    h = 2.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_value)
+    # near a tie it rounds an ulp or two outside [lo, hi]; a NaN passes, for means.worst
+    return lo if h < lo else hi if h > hi else h
 
 
 def _hh_refined(n: MeanDescriptor, lo: float, hi: float) -> float:
-    """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair with lo < hi."""
+    """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair with lo < hi, kept in [lo, hi]."""
     n_value = n.evaluator(lo, hi)
     a, b = pulled_pair(lo, hi, 0.5)  # it can tie, but needs no rescale: see MeanDescriptor
     n_half = a if a == b else n.evaluator(a, b)
-    # left to right, as in _hh_lower
-    return 4.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_half + 1.0 / n_half + 1.0 / n_value)
+    # left to right and kept in [lo, hi], as in _hh_lower
+    h = 4.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_half + 1.0 / n_half + 1.0 / n_value)
+    return lo if h < lo else hi if h > hi else h
 
 
 def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, float]:

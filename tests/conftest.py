@@ -12,6 +12,8 @@ import pytest
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+# the golden outputs and their inputs: `import goldens`
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,16 @@
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
+from goldens import NEAR_TIES
 from meanlab import (
     CATALOG,
     CHAIN_NAMES,
+    MEAN_IDS,
     PAIR_CATALOG,
     ChainSpec,
     DomainError,
@@ -29,7 +32,7 @@ from meanlab import (
     run_chain_suite,
     seiffert_of_mean,
 )
-from meanlab import suite
+from meanlab import inequalities, suite
 
 
 class TestHHBounds:
@@ -96,6 +99,34 @@ class TestHHRefinedLower:
             for x, y in default_pair_grid(20):
                 lower, _ = hh_bounds(mean_id, x, y)
                 assert hh_refined_lower(mean_id, x, y) >= lower - 1e-12 * (x + y)
+
+
+class TestLowerBoundsNearTies:
+    """At pairs 1-3 ulp apart, H(A, N) and H(A, N^{1/2}, N^{1/2}, N) round to
+    a value outside [lo, hi] for some means; the bounds are kept inside."""
+
+    def test_no_lower_bound_leaves_the_pair(self):
+        outside = dict.fromkeys(["hh_bounds below lo", "hh_bounds above hi",
+                                 "hh_refined_lower below lo", "hh_refined_lower above hi"], 0)
+        for mean_id in MEAN_IDS:
+            for lo, hi in NEAR_TIES:
+                lower, refined = hh_bounds(mean_id, lo, hi)[0], hh_refined_lower(mean_id, lo, hi)
+                outside["hh_bounds below lo"] += lower < lo
+                outside["hh_bounds above hi"] += lower > hi
+                outside["hh_refined_lower below lo"] += refined < lo
+                outside["hh_refined_lower above hi"] += refined > hi
+        assert len(MEAN_IDS) * len(NEAR_TIES) == 54_000
+        assert set(outside.values()) == {0}, outside
+
+    def test_a_nan_passes_to_the_chain(self):
+        nan_mean = MeanDescriptor("X", "", lambda lo, hi: math.nan)
+        assert math.isnan(hh_bounds(nan_mean, 1.0, 3.0)[0])
+        assert math.isnan(hh_refined_lower(nan_mean, 1.0, 3.0))
+        # the chains' own bound term, as `_chain` builds it
+        lower = MeanDescriptor("H(A,X)", "", partial(inequalities._hh_lower, nan_mean))
+        spec = ChainSpec("nan", (("G", CATALOG["G"]), ("H(A,X)", lower)))
+        report = run_chain_suite(spec, [(1.0, 3.0), (2.0, 5.0)])
+        assert math.isnan(report.min_margin) and report.failing_point == (1.0, 3.0)
 
 
 class TestClosedFormHalfDeformations:

@@ -1,29 +1,46 @@
-"""Each pair is tie-tested once, then catalog evaluators are called directly.
+"""Each pair is decided once, a far-out pair is evaluated at unit scale, and
+every value is the recorded one.
 
-`hh_bounds`, `hh_refined_lower`, `run_chain_suite` and the function of
-`seiffert_of_mean` decide a tie once and then call
-`MeanDescriptor.evaluator` instead of `ordered`; `agm` and `v_mean` are the
-AGM and V catalog rows, not functions with a pair check of their own.
-`eval_mean`, `hh_bounds` and `hh_refined_lower` resolve a catalog id with one
-dictionary lookup, and `run_chain_suite` builds its point records and worst
-margins inline.  The reference copies below are the earlier forms, which
-evaluated through `ordered` and `MeanDescriptor.__call__`, summed
-reciprocals with a loop, and read `ChainPointRecord.worst_margin`, and the
-earlier `agm` and `v_mean`; the library must give the same bits, and the
-same exception with the same message, on every pair that it evaluates as
-given: a tie, or both arguments in [2^-500, 2^500].  Every other pair is
-evaluated at unit scale, so there the library must give the reference's bits
-at the pair divided by an even power of two, multiplied back.
+A pair is decided (tested for a tie, then handed to a catalog evaluator) in
+five places: `MeanDescriptor.ordered`, each `run_chain_suite` point,
+`hh_bounds`, `hh_refined_lower` and the function of `seiffert_of_mean`; `agm`
+and `v_mean` are the AGM and V catalog rows.  The tests here assert that
+behaviour: a tie calls no evaluator, a bad id raises as it did, an exception
+or a planted NaN reaches the caller or fails its chain point, and a pair
+outside [2^-500, 2^500] gets the value at the pair divided by an even power
+of two, multiplied back.
+
+The values themselves are checked against tests/golden/digests.txt, one
+SHA-256 line per (function, mean) over the `.hex()` bits of every output, or
+the type and message of what it raised, on the inputs of
+tests/golden/goldens.py: the 2,011 seeded and edge pairs, near ties, pairs
+whose exponents lie more than 1024 apart, invalid pairs, bad ids and a
+deformed mean.  A change that moves them on purpose runs
+`python tests/golden/regen.py`, and its diff names every moved line.
 """
 
 import math
-import random
-from collections import namedtuple
-from functools import partial
 
 import pytest
 
+import goldens
 import meanlab
+from goldens import (
+    BAD_IDS,
+    CATALOG_CHAIN,
+    DEFORMED,
+    FAR_PAIRS,
+    INVALID_PAIRS,
+    NAN_PAIR,
+    PAIRS,
+    PLANTED_GRID,
+    RAISE_PAIR,
+    Raised,
+    bits,
+    ident,
+    outcome,
+    planted_chain,
+)
 from meanlab import (
     CATALOG,
     CHAIN_NAMES,
@@ -32,169 +49,25 @@ from meanlab import (
     ChainSpec,
     MeanDescriptor,
     builtin_chain,
-    deform_mean,
     eval_mean,
     hh_bounds,
     hh_refined_lower,
     run_chain_suite,
     seiffert_of_mean,
 )
-from meanlab import elliptic, inequalities
-from meanlab._pairs import check_pair, half_spread, pulled_pair
-from meanlab.errors import MeanLabError, NonConvergenceError
-from meanlab.inequalities import CHAIN_TOL, ChainPointRecord, ChainReport
-from meanlab.means import get_mean
+from meanlab import elliptic
+from meanlab.errors import NonConvergenceError
+from meanlab.inequalities import ChainPointRecord
 
 REPRESENTERS = [e.representer for e in PAIR_CATALOG]
 
-
-# --------------------------------------------------------------------------
-# Reference copies of the earlier forms.
-# --------------------------------------------------------------------------
-
-def reference_harmonic_of(*values):
-    total = 0.0
-    for v in values:
-        total += 1.0 / v
-    return len(values) / total
+RECORDED = goldens.read_digests()
 
 
-def reference_hh_lower(n, lo, hi):
-    n_value = n.ordered(lo, hi)
-    return n_value if lo == hi else reference_harmonic_of(0.5 * (lo + hi), n_value)
-
-
-def reference_hh_refined(n, lo, hi):
-    n_value = n.ordered(lo, hi)
-    if lo == hi:
-        return n_value
-    n_half = n.ordered(*pulled_pair(lo, hi, 0.5))
-    return reference_harmonic_of(0.5 * (lo + hi), n_half, n_half, n_value)
-
-
-def reference_eval_mean(mean, x, y):
-    return get_mean(mean)(x, y)
-
-
-def reference_hh_bounds(mean, x, y):
-    desc = get_mean(mean)
-    lo, hi = check_pair(x, y)
-    lower = reference_hh_lower(desc, lo, hi)
-    return lower, (lower if lo == hi else desc.ordered(*pulled_pair(lo, hi, 0.5)))
-
-
-def reference_hh_refined_lower(mean, x, y):
-    return reference_hh_refined(get_mean(mean), *check_pair(x, y))
-
-
-def reference_seiffert_func(mean):
-    ordered = get_mean(mean).ordered
-
-    def func(z):
-        return z / ordered(1.0 - z, 1.0 + z)
-
-    return func
-
-
-def reference_run_chain_suite(spec, pairs, tol=CHAIN_TOL):
-    evaluators = [term.ordered for _, term in spec.terms]
-    records = []
-    skipped = []
-    min_margin = math.inf
-    failing = None
-    for x, y in pairs:
-        try:
-            lo, hi = check_pair(x, y)
-            values = tuple([ordered(lo, hi) for ordered in evaluators])
-        except Exception as exc:  # noqa: BLE001 - recorded, point skipped
-            skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
-            continue
-        a = 0.5 * (lo + hi)
-        margins = tuple([(upper - lower) / a for lower, upper in zip(values, values[1:])])
-        record = ChainPointRecord(x, y, half_spread(lo, hi), values, margins)
-        records.append(record)
-        worst = record.worst_margin
-        if not worst >= min_margin and min_margin == min_margin:
-            min_margin = worst
-            if not worst >= -tol:
-                failing = (x, y)
-    passed = failing is None and not skipped
-    return ChainReport(spec.name, tol, tuple(records), tuple(skipped),
-                       min_margin, passed, failing)
-
-
-def reference_agm(x, y):
-    lo, hi = check_pair(x, y)
-    return lo if lo == hi else elliptic._agm(lo, hi)
-
-
-def reference_v_mean(x, y):
-    lo, hi = check_pair(x, y)
-    return lo if lo == hi else reference_v_evaluator(lo, hi)
-
-
-def reference_v_evaluator(lo, hi):
-    z = half_spread(lo, hi)
-    harmonic = 2.0 * lo * hi / (lo + hi)
-    return 0.5 * math.pi * harmonic / elliptic.ellip_e(z)
-
-
-_REFERENCE_BOUNDS = {inequalities._hh_lower: reference_hh_lower,
-                     inequalities._hh_refined: reference_hh_refined}
-
-
-def reference_chain(spec):
-    """The chain with its H(A, ...) terms evaluated by the reference bounds."""
-    terms = []
-    for label, term in spec.terms:
-        bound = getattr(term.evaluator, "func", None)
-        if bound in _REFERENCE_BOUNDS:
-            evaluator = partial(_REFERENCE_BOUNDS[bound], *term.evaluator.args)
-            term = MeanDescriptor(term.id, term.display, evaluator)
-        terms.append((label, term))
-    return ChainSpec(spec.name, tuple(terms))
-
-
-# --------------------------------------------------------------------------
-# Seeded inputs and comparison helpers.
-# --------------------------------------------------------------------------
-
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
-def seeded_pairs(seed, count):
-    """(s (1-z), s (1+z)) as the `pairs` benchmark draws them: every tenth
-    scale from all positive doubles, the others from [1e-6, 1e6]."""
-    rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < count:
-        z = _log_uniform(rng, 1e-12, 1.0 - 1e-12)
-        if len(pairs) % 10 == 9:
-            scale = 2.0 ** rng.uniform(-1074.0, 1024.0)
-        else:
-            scale = _log_uniform(rng, 1e-6, 1e6)
-        x, y = scale * (1.0 - z), scale * (1.0 + z)
-        if x > 0.0 and math.isfinite(y):
-            pairs.append((x, y))
-    return pairs
-
-
-#: Pairs that raised before they were rescaled, ties, and a pulled pair that
-#: ties, on top of the draws.
-EDGE_PAIRS = [
-    (1e-300, 1e-200), (1e308, 1.7e308), (5e-324, 1e-323), (1e-320, 1e-310),
-    (1e200, 1e300), (1.0, 1e308), (2.0, 2.0), (5e-324, 5e-324), (1e308, 1e308),
-    (1.0, math.nextafter(1.0, 2.0)), (3.0, 1.0),
-]
-
-WINDOW = (2.0 ** -500, 2.0 ** 500)
-
-
-def as_given(x, y):
-    """Whether the library evaluates (x, y) as given: a tie, or inside the window."""
-    lo, hi = sorted((x, y))
-    return lo == hi or WINDOW[0] <= lo and hi <= WINDOW[1]
+def assert_recorded(*keys):
+    """Each digest line, computed now, is the recorded one."""
+    for key in keys:
+        goldens.check_same(key, RECORDED[key], goldens.digest(key))
 
 
 def unit_scale(x, y):
@@ -206,58 +79,21 @@ def unit_scale(x, y):
     return e, *scaled
 
 
-ALL_PAIRS = seeded_pairs(17, 2000) + EDGE_PAIRS
-#: Compared with the reference copies bit for bit.
-PAIRS = [p for p in ALL_PAIRS if as_given(*p)]
-#: Compared with the reference copies at unit scale.
-FAR_PAIRS = [p for p in ALL_PAIRS if not as_given(*p)]
-
-#: Pairs that fail the pair check.
-INVALID_PAIRS = [(0.0, 1.0), (-1.0, 2.0), (math.nan, 1.0), (1.0, math.inf)]
-
-#: Ids that are no catalog id; a list is unhashable, so its lookup raises TypeError.
-BAD_IDS = ["nope", None, 3, []]
-
-
-Raised = namedtuple("Raised", "kind message")
-
-
-def outcome(fn, *args):
-    """fn's result, or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except (MeanLabError, ArithmeticError, TypeError) as exc:
-        return Raised(type(exc), str(exc))
-
-
-def bits(value):
-    """A value with every float replaced by its .hex(), which also tells NaNs apart
-    from numbers; tuples (records included) are compared field by field."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, tuple):
-        return tuple(bits(v) for v in value)
-    return value
-
-
 class TestSameBitsAsReference:
+    """The recorded digests are the reference."""
+
     # every catalog mean, not only the eight representers
     @pytest.mark.parametrize("rep", MEAN_IDS)
     def test_hh_bounds_and_refined_lower(self, rep):
-        raised = set()
-        for x, y in PAIRS + INVALID_PAIRS:
-            for library, reference in ((hh_bounds, reference_hh_bounds),
-                                       (hh_refined_lower, reference_hh_refined_lower)):
-                expected = outcome(reference, rep, x, y)
-                assert bits(outcome(library, rep, x, y)) == bits(expected), (
-                    library.__name__, x, y)
-                if isinstance(expected, Raised):
-                    raised.add(expected.kind)
-        assert raised, "the invalid pairs raise for every mean"
+        assert_recorded(f"hh_bounds {rep}", f"hh_refined_lower {rep}")
+        kinds = {outcome(fn, rep, x, y).kind
+                 for fn in (hh_bounds, hh_refined_lower) for x, y in INVALID_PAIRS}
+        assert kinds == {"DomainError"}
 
     def test_every_exception_kind_is_compared(self):
         # a planted mean raises what the catalog rows raised at far-out pairs
-        # before those were rescaled; the invalid pairs raise DomainError
+        # before those were rescaled; the invalid pairs raise DomainError.  The
+        # bounds pass each on, and a digest records its type and message.
         def planted(lo, hi):
             if lo == 2.0:
                 raise ZeroDivisionError("float division by zero")
@@ -266,96 +102,69 @@ class TestSameBitsAsReference:
             return CATALOG["G"].evaluator(lo, hi)
 
         mean = MeanDescriptor("X", "", planted)
-        raised = set()
-        for x, y in [(2.0, 5.0), (3.0, 5.0), (1.0, 5.0), *INVALID_PAIRS]:
-            for library, reference in ((hh_bounds, reference_hh_bounds),
-                                       (hh_refined_lower, reference_hh_refined_lower)):
-                expected = outcome(reference, mean, x, y)
-                assert bits(outcome(library, mean, x, y)) == bits(expected), (x, y)
-                if isinstance(expected, Raised):
-                    raised.add(expected.kind.__name__)
-        assert raised == {"DomainError", "ZeroDivisionError", "NonConvergenceError"}
+        for fn in (hh_bounds, hh_refined_lower):
+            assert outcome(fn, mean, 2.0, 5.0) == Raised("ZeroDivisionError",
+                                                         "float division by zero")
+            assert outcome(fn, mean, 3.0, 5.0) == Raised("NonConvergenceError",
+                                                         "AGM not converged after 64 steps")
+            assert outcome(fn, mean, 0.0, 1.0) == Raised(
+                "DomainError", "arguments must be positive, got (0.0, 1.0)")
+            assert not isinstance(outcome(fn, mean, 1.0, 1.5), Raised)
 
     @pytest.mark.parametrize("name", CHAIN_NAMES)
     def test_chain_reports(self, name):
-        spec = builtin_chain(name)
-        reference = reference_chain(spec)
-        replaced = sum(a is not b for (_, a), (_, b) in zip(spec.terms, reference.terms))
-        assert replaced >= 1
-        self.assert_same_report(spec, reference)
+        assert_recorded(f"run_chain_suite {name}")
 
     def test_chain_of_every_catalog_mean(self):
-        report = self.assert_same_report(CATALOG_CHAIN, CATALOG_CHAIN)
-        assert report.skipped == ()
-
-    @staticmethod
-    def assert_same_report(spec, reference, pairs=PAIRS):
-        expected = reference_run_chain_suite(reference, pairs)
-        report = run_chain_suite(spec, pairs)
-        assert len(report.points) == len(expected.points)
-        for got, want in zip(report.points, expected.points):
-            assert bits(got) == bits(want), (got.x, got.y)
-        assert bits(report) == bits(expected)
-        return report
+        assert_recorded("run_chain_suite catalog")
+        assert run_chain_suite(CATALOG_CHAIN, PAIRS).skipped == ()
 
     @pytest.mark.parametrize("mean_id", MEAN_IDS)
     def test_seiffert_functions(self, mean_id):
-        rng = random.Random(29)
-        zs = [_log_uniform(rng, 1e-12, 1.0 - 1e-12) for _ in range(1000)]
-        zs += [rng.random() or 0.5 for _ in range(1000)]
-        f = seiffert_of_mean(mean_id)
-        reference = reference_seiffert_func(mean_id)
-        for z in zs:
-            assert bits(outcome(f, z)) == bits(outcome(reference, z)), z
+        assert_recorded(f"seiffert_of_mean {mean_id}")
 
 
-CATALOG_CHAIN = ChainSpec("catalog", tuple((m, CATALOG[m]) for m in MEAN_IDS))
+def as_tuple(value):
+    return value if isinstance(value, tuple) else (value,)
 
 
 class TestFarPairs:
-    """The pairs outside the window: the reference copies at unit scale."""
+    """The pairs outside the window: homogeneity, value(x, y) equal to 2^e times
+    value(x/2^e, y/2^e) for the even e of `unit_scale`, bit for bit."""
+
+    SCALED = [unit_scale(x, y) for x, y in FAR_PAIRS]
 
     def test_far_pairs_are_drawn(self):
         assert len(FAR_PAIRS) > 100
         assert {(1e-300, 1e-200), (1e308, 1.7e308), (1.0, 1e308)} <= set(FAR_PAIRS)
 
-    @pytest.mark.parametrize("mean", [*MEAN_IDS, deform_mean("P", 0.3)], ids=repr)
-    def test_eval_mean(self, mean):
-        for x, y in FAR_PAIRS:
-            e, sx, sy = unit_scale(x, y)
-            value = eval_mean(mean, x, y)
-            assert bits(value) == bits(math.ldexp(reference_eval_mean(mean, sx, sy), e))
-            assert min(x, y) <= value <= max(x, y), (x, y)
+    def assert_homogeneous(self, fn, *head):
+        for (x, y), (e, sx, sy) in zip(FAR_PAIRS, self.SCALED):
+            values, scaled = as_tuple(fn(*head, x, y)), as_tuple(fn(*head, sx, sy))
+            assert bits(values) == bits(tuple(math.ldexp(v, e) for v in scaled)), (x, y)
+            assert all(min(x, y) <= v <= max(x, y) for v in values), (x, y)
 
-    @pytest.mark.parametrize("name, reference", [("agm", reference_agm),
-                                                 ("v_mean", reference_v_mean)])
-    def test_elliptic_rows(self, name, reference):
-        library = getattr(meanlab, name)
-        for x, y in FAR_PAIRS:
-            e, sx, sy = unit_scale(x, y)
-            assert bits(library(x, y)) == bits(math.ldexp(reference(sx, sy), e)), (x, y)
+    @pytest.mark.parametrize("mean", [*MEAN_IDS, DEFORMED], ids=repr)
+    def test_eval_mean(self, mean):
+        self.assert_homogeneous(eval_mean, mean)
+
+    @pytest.mark.parametrize("name", ["agm", "v_mean"])
+    def test_elliptic_rows(self, name):
+        self.assert_homogeneous(getattr(meanlab, name))
 
     @pytest.mark.parametrize("rep", MEAN_IDS)
     def test_hh_bounds_and_refined_lower(self, rep):
-        for x, y in FAR_PAIRS:
-            e, sx, sy = unit_scale(x, y)
-            bounds = hh_bounds(rep, x, y)
-            lower = hh_refined_lower(rep, x, y)
-            expected = tuple(math.ldexp(v, e) for v in reference_hh_bounds(rep, sx, sy))
-            assert bits(bounds) == bits(expected), (x, y)
-            assert bits(lower) == bits(
-                math.ldexp(reference_hh_refined_lower(rep, sx, sy), e)), (x, y)
-            assert all(min(x, y) <= v <= max(x, y) for v in (*bounds, lower)), (x, y)
+        self.assert_homogeneous(hh_bounds, rep)
+        self.assert_homogeneous(hh_refined_lower, rep)
 
     @pytest.mark.parametrize("spec", [builtin_chain(name) for name in CHAIN_NAMES]
                              + [CATALOG_CHAIN], ids=lambda spec: spec.name)
     def test_chain_reports(self, spec):
         report = run_chain_suite(spec, FAR_PAIRS)
         assert report.skipped == () and report.passed == (spec is not CATALOG_CHAIN)
-        scaled = [unit_scale(x, y) for x, y in FAR_PAIRS]
-        expected = reference_run_chain_suite(reference_chain(spec), [p for _, *p in scaled])
-        assert bits(report.min_margin) == bits(expected.min_margin)
-        for got, want, (e, *_), (x, y) in zip(report.points, expected.points, scaled,
+        scaled = run_chain_suite(spec, [(sx, sy) for _, sx, sy in self.SCALED])
+        assert bits(report.min_margin) == bits(scaled.min_margin)
+        for got, want, (e, *_), (x, y) in zip(report.points, scaled.points, self.SCALED,
                                               FAR_PAIRS):
             assert (got.x, got.y) == (x, y)
             assert bits((got.z, got.margins)) == bits((want.z, want.margins)), (x, y)
@@ -363,66 +172,42 @@ class TestFarPairs:
 
 
 class TestIdLookup:
-    """eval_mean, hh_bounds and hh_refined_lower against the earlier get_mean route."""
+    """eval_mean, hh_bounds and hh_refined_lower resolve an id as get_mean does."""
 
-    MEANS = [*MEAN_IDS, deform_mean("P", 0.3), *BAD_IDS]
+    MEANS = [*MEAN_IDS, DEFORMED, *BAD_IDS]
 
     @pytest.mark.parametrize("mean", MEANS, ids=repr)
     def test_eval_mean(self, mean):
-        for x, y in PAIRS + INVALID_PAIRS:
-            expected = outcome(reference_eval_mean, mean, x, y)
-            assert bits(outcome(eval_mean, mean, x, y)) == bits(expected), (x, y)
+        assert_recorded(f"eval_mean {ident(mean)}")
 
-    @pytest.mark.parametrize("mean", [deform_mean("P", 0.3), *BAD_IDS], ids=repr)
+    @pytest.mark.parametrize("mean", [DEFORMED, *BAD_IDS], ids=repr)
     def test_hh_bounds_and_refined_lower(self, mean):
-        edges = [p for p in EDGE_PAIRS if as_given(*p)]
-        for x, y in PAIRS[:200] + edges + INVALID_PAIRS:
-            for library, reference in ((hh_bounds, reference_hh_bounds),
-                                       (hh_refined_lower, reference_hh_refined_lower)):
-                expected = outcome(reference, mean, x, y)
-                assert bits(outcome(library, mean, x, y)) == bits(expected), (x, y)
+        assert_recorded(f"hh_bounds {ident(mean)}", f"hh_refined_lower {ident(mean)}")
 
     def test_bad_ids_raise_as_before(self):
         kinds = [outcome(eval_mean, mean, 1.0, 3.0) for mean in BAD_IDS]
-        assert [k.kind.__name__ for k in kinds] == ["UnknownMeanError"] * 3 + ["TypeError"]
+        assert [k.kind for k in kinds] == ["UnknownMeanError"] * 3 + ["TypeError"]
         assert kinds[-1].message == "unhashable type: 'list'"
 
 
 class TestPlantedChainPoints:
     """A chain point with a NaN margin, a term that raises, invalid pairs and
-    ties in one grid, against the reference loop, which reads worst_margin."""
-
-    NAN_PAIR = PAIRS[7]
-    RAISE_PAIR = PAIRS[11]
-    GRID = PAIRS[:40] + INVALID_PAIRS + [(2.0, 2.0), (5e-324, 5e-324)]
-
-    @classmethod
-    def planted(cls, lo, hi):
-        if (lo, hi) == tuple(sorted(cls.NAN_PAIR)):
-            return math.nan
-        if (lo, hi) == tuple(sorted(cls.RAISE_PAIR)):
-            raise ZeroDivisionError("planted")
-        return CATALOG["C"].evaluator(lo, hi)
-
-    def spec(self, last):
-        # the planted term comes last, so the NaN is not the first margin, which min() keeps
-        terms = (("G", CATALOG["G"]), ("A", CATALOG["A"]))
-        return ChainSpec("planted", (*terms, ("X", MeanDescriptor("X", "", last))))
+    ties in one grid."""
 
     def test_same_report_as_reference(self):
-        spec = self.spec(self.planted)
-        report = TestSameBitsAsReference.assert_same_report(spec, spec, self.GRID)
+        assert_recorded("run_chain_suite planted")
+        report = run_chain_suite(planted_chain(), PLANTED_GRID)
         assert math.isnan(report.min_margin) and not report.passed
-        assert report.failing_point == self.NAN_PAIR
+        assert report.failing_point == NAN_PAIR
         reasons = {(x, y): reason for x, y, reason in report.skipped}
-        assert reasons[self.RAISE_PAIR] == "ZeroDivisionError: planted"
+        assert reasons[RAISE_PAIR] == "ZeroDivisionError: planted"
         assert set(INVALID_PAIRS) <= reasons.keys()
-        (nan_point,) = [p for p in report.points if (p.x, p.y) == self.NAN_PAIR]
+        (nan_point,) = [p for p in report.points if (p.x, p.y) == NAN_PAIR]
         assert not math.isnan(nan_point.margins[0]) and math.isnan(nan_point.margins[1])
         assert math.isnan(nan_point.worst_margin)
 
     def test_points_are_chain_point_records(self):
-        report = run_chain_suite(self.spec(CATALOG["C"].evaluator), self.GRID)
+        report = run_chain_suite(planted_chain(CATALOG["C"].evaluator), PLANTED_GRID)
         for point in report.points:
             assert type(point) is ChainPointRecord
             assert point == ChainPointRecord(*point)
@@ -442,17 +227,13 @@ class TestEllipticMeansAreRows:
         names = vars(elliptic)
         assert not {"agm", "v_mean", "_v_mean", "check_pair", "half_spread"} & set(names)
 
-    @pytest.mark.parametrize("name, reference", [("agm", reference_agm),
-                                                 ("v_mean", reference_v_mean)])
-    def test_same_bits_as_reference(self, name, reference):
-        library = getattr(meanlab, name)
-        raised = set()
-        for x, y in self.ROW_PAIRS:
-            expected = outcome(reference, x, y)
-            assert bits(outcome(library, x, y)) == bits(expected), (x, y)
-            if isinstance(expected, Raised):
-                raised.add(expected.kind.__name__)
-        assert raised == {"DomainError"}
+    @pytest.mark.parametrize("name", ["agm", "v_mean"])
+    def test_same_bits_as_reference(self, name):
+        row = getattr(meanlab, name)
+        assert_recorded(f"{name} {row.id}")
+        kinds = {r.kind for r in (outcome(row, x, y) for x, y in self.ROW_PAIRS)
+                 if isinstance(r, Raised)}
+        assert kinds == {"DomainError"}
 
 
 class TestTiePaths:

@@ -1,4 +1,5 @@
-"""The `pairs` benchmark traffic, run in-process: no evaluation fails.
+"""The `pairs` benchmark traffic, run in-process: no evaluation fails, and
+each seed's batch digests and counts are those of tests/golden/pairs.txt.
 
 The workload stores an evaluation that raised as its output, and the
 exception's traceback holds the frames that hold the whole batch output, so
@@ -12,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import goldens
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+
+PAIRS_GOLDEN = goldens.pairs_sections(goldens.recorded(goldens.PAIRS_FILE))
 
 
 @pytest.fixture
@@ -26,7 +31,7 @@ def gc_disabled():
         gc.enable()
 
 
-@pytest.mark.parametrize("seed", [1, 7, 13, 31])
+@pytest.mark.parametrize("seed", goldens.PAIRS_SEEDS)
 def test_no_evaluation_fails_and_nothing_is_left_for_gc(seed, gc_disabled):
     work = workloads.PairsWorkload(seed)
     outputs = []
@@ -42,5 +47,7 @@ def test_no_evaluation_fails_and_nothing_is_left_for_gc(seed, gc_disabled):
                   *(v for row in bounds for pair in row for v in pair)]
         assert not [v for v in values if isinstance(v, BaseException)]
         assert all(report.skipped == () for report in chains)
+    goldens.check_same(f"pairs.txt, seed {seed}", PAIRS_GOLDEN[seed],
+                       goldens.pairs_section(seed, work))
     del outputs, work
     assert gc.collect() == 0
