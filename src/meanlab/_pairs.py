@@ -1,11 +1,13 @@
-"""The domains of the library's arguments, each checked once, where a value enters,
-and the exact power-of-two rescale that brings a far-out pair near 1."""
+"""The domains of the library's arguments (pairs, points, moduli, grids), each checked once
+where a value enters, and the exact power-of-two rescale that brings a far pair near 1."""
 
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 from math import frexp, inf, ldexp
 
+from ._frozen import Frozen, set_field
 from .errors import DomainError
 
 # Largest double strictly below 1; z is clamped here when a pair is so
@@ -43,6 +45,21 @@ def check_unit(z: float, name: str = "z") -> float:
     return fz
 
 
+#: K is rejected above this modulus; it diverges at z = 1 and relative
+#: error contracts are meaningless nearby.
+MODULUS_CAP = 1.0 - 1e-12
+
+
+def check_modulus(z: float) -> float:
+    """Validate a modulus of [0, MODULUS_CAP] and return it as a float."""
+    fz = float(z)
+    if not 0.0 <= fz < 1.0:
+        raise DomainError(f"modulus must lie in [0, 1), got {z!r}")
+    if fz > MODULUS_CAP:
+        raise DomainError(f"modulus {z!r} too close to the z=1 divergence")
+    return fz
+
+
 def half_spread(lo: float, hi: float) -> float:
     """|x - y| / (x + y) for an ordered pair, always in [0, 1).
 
@@ -77,3 +94,53 @@ def unit_scale(lo: float, hi: float) -> tuple[int, float, float]:
     e_lo, e_hi = frexp(lo)[1], frexp(hi)[1]
     e = 0 if e_hi - e_lo > 1024 else (e_lo + e_hi + 2) // 4 * 2
     return e, ldexp(lo, -e), ldexp(hi, -e)
+
+
+class GridSpec(Frozen):
+    """A sampling plan: `count` points from `start` to `end` inclusive.
+
+    Callers are responsible for keeping start/end strictly inside an open
+    domain; validation here covers finiteness, ordering and the count.
+    """
+
+    __slots__ = ("start", "end", "count", "spacing")
+
+    def __init__(self, start: float, end: float, count: int = 101,
+                 spacing: str = "uniform") -> None:
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise DomainError(f"grid start and end must be finite, got {start!r}, {end!r}")
+        if not start < end:
+            raise DomainError("grid start must be below grid end")
+        if not isinstance(count, int):
+            raise DomainError(f"grid count must be an integer, got {count!r}")
+        if count < 2:
+            raise DomainError("grid needs at least 2 points")
+        if spacing not in ("uniform", "log"):
+            raise DomainError(f"unknown spacing {spacing!r}")
+        if spacing == "log" and start <= 0.0:
+            raise DomainError("log spacing needs a positive start")
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "count", count)
+        set_field(self, "spacing", spacing)
+
+    def points(self) -> tuple[float, ...]:
+        """The grid as floats, by the usual linspace/geomspace formulas.
+
+        Uniform points are i * step + start; log points are 10 ** e over
+        the uniform grid of log10 endpoints.  Both endpoints are exact.
+        """
+        start, end = float(self.start), float(self.end)
+        if self.spacing == "log":
+            exponents = _uniform(math.log10(start), math.log10(end), self.count)
+            return (start, *(10.0 ** e for e in exponents[1:-1]), end)
+        return _uniform(start, end, self.count)
+
+    def midpoints(self) -> tuple[float, ...]:
+        """0.5 * (a + b) for each adjacent pair (a, b) of `points()`."""
+        return tuple(0.5 * (a + b) for a, b in pairwise(self.points()))
+
+
+def _uniform(start: float, end: float, count: int) -> tuple[float, ...]:
+    step = (end - start) / (count - 1)
+    return (*(i * step + start for i in range(count - 1)), end)

@@ -29,8 +29,7 @@ from collections.abc import Callable, Iterable
 from itertools import accumulate, pairwise
 from math import inf
 
-from ._frozen import Frozen, set_field
-from ._pairs import check_unit
+from ._pairs import GridSpec, check_unit
 from .errors import DomainError, NonConvergenceError
 from .means import SeiffertFunction
 
@@ -67,52 +66,6 @@ QUADRATURE_TOL = 1e-11
 #: Panels one `integrate` call may evaluate (QUADPACK likewise caps its
 #: subintervals), so that an error sum stuck in rounding noise ends the work.
 MAX_PANELS = 10_000
-
-
-class GridSpec(Frozen):
-    """A sampling plan: `count` points from `start` to `end` inclusive.
-
-    Callers are responsible for keeping start/end strictly inside an open
-    domain; validation here covers only ordering and positivity.
-    """
-
-    __slots__ = ("start", "end", "count", "spacing")
-
-    def __init__(self, start: float, end: float, count: int = 101,
-                 spacing: str = "uniform") -> None:
-        if not start < end:
-            raise DomainError("grid start must be below grid end")
-        if count < 2:
-            raise DomainError("grid needs at least 2 points")
-        if spacing not in ("uniform", "log"):
-            raise DomainError(f"unknown spacing {spacing!r}")
-        if spacing == "log" and start <= 0.0:
-            raise DomainError("log spacing needs a positive start")
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "count", count)
-        set_field(self, "spacing", spacing)
-
-    def points(self) -> tuple[float, ...]:
-        """The grid as floats, by the usual linspace/geomspace formulas.
-
-        Uniform points are i * step + start; log points are 10 ** e over
-        the uniform grid of log10 endpoints.  Both endpoints are exact.
-        """
-        start, end = float(self.start), float(self.end)
-        if self.spacing == "log":
-            exponents = _uniform(math.log10(start), math.log10(end), self.count)
-            return (start, *(10.0 ** e for e in exponents[1:-1]), end)
-        return _uniform(start, end, self.count)
-
-    def midpoints(self) -> tuple[float, ...]:
-        """0.5 * (a + b) for each adjacent pair (a, b) of `points()`."""
-        return tuple(0.5 * (a + b) for a, b in pairwise(self.points()))
-
-
-def _uniform(start: float, end: float, count: int) -> tuple[float, ...]:
-    step = (end - start) / (count - 1)
-    return (*(i * step + start for i in range(count - 1)), end)
 
 
 class ShapeVerdict(namedtuple("ShapeVerdict", "classification witness", defaults=(None,))):

@@ -11,8 +11,8 @@ with a diagnostic on stderr.  All floats print with 15 significant
 digits.  The MEANLAB_TOL environment variable overrides the default
 tolerance where a command accepts one.
 
-Each handler imports the library modules it runs, so a process loads
-only what its verb needs.
+Each handler imports the library modules it runs, and `run_command` parses with the
+arguments of its verb only, so a process loads and builds only what its verb needs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _FORMATS = ("json", "csv", "text")
 
 
 def _parse_zgrid(spec: str):
-    from .calculus import GridSpec
+    from ._pairs import GridSpec
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise MeanLabError(f"malformed grid {spec!r}, expected start:end:count[:log]")
@@ -41,12 +41,9 @@ def _parse_zgrid(spec: str):
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise MeanLabError(f"malformed grid {spec!r}: non-numeric field") from None
-    spacing = "uniform"
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise MeanLabError(f"malformed grid {spec!r}: trailing field must be 'log'")
-        spacing = "log"
-    return GridSpec(start, end, count, spacing)
+    if parts[3:] not in ([], ["log"]):
+        raise MeanLabError(f"malformed grid {spec!r}: trailing field must be 'log'")
+    return GridSpec(start, end, count, "log" if parts[3:] else "uniform")
 
 
 def _parse_pairs(spec: str) -> list[tuple[float, float]] | None:
@@ -111,50 +108,44 @@ def _emit_report(records: list, fmt: str, out: str | None) -> int:
     return 0 if doc.summary["fail"] == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _eval_args(p: argparse.ArgumentParser) -> None:
     from .means import MEAN_IDS
-    parser = argparse.ArgumentParser(
-        prog="meanlab",
-        description="Evaluate bivariate means and verify their Seiffert-function "
-                    "calculus, harmonic representations, and inequality chains.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--mean", required=True, metavar="ID",
+                   help=f"one of: {', '.join(MEAN_IDS)}")
+    p.add_argument("x", type=float)
+    p.add_argument("y", type=float)
+    p.set_defaults(handler=_cmd_eval)
 
-    p_eval = sub.add_parser("eval", help="evaluate a catalog mean at a pair")
-    p_eval.add_argument("--mean", required=True, metavar="ID",
-                        help=f"one of: {', '.join(MEAN_IDS)}")
-    p_eval.add_argument("x", type=float)
-    p_eval.add_argument("y", type=float)
-    p_eval.set_defaults(handler=_cmd_eval)
 
-    p_seif = sub.add_parser("seiffert", help="evaluate the Seiffert function of a mean")
-    p_seif.add_argument("--mean", required=True, metavar="ID")
-    group = p_seif.add_mutually_exclusive_group(required=True)
+def _seiffert_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mean", required=True, metavar="ID")
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--z", type=float, help="single abscissa in (0, 1)")
     group.add_argument("--zgrid", metavar="S:E:C[:log]", help="print 'z f(z)' lines")
-    p_seif.set_defaults(handler=_cmd_seiffert)
+    p.set_defaults(handler=_cmd_seiffert)
 
-    p_def = sub.add_parser("deform", help="evaluate the t-deformation of a mean")
-    p_def.add_argument("--mean", required=True, metavar="ID")
-    p_def.add_argument("--t", type=float, required=True, help="parameter in (0, 1]")
-    p_def.add_argument("x", type=float)
-    p_def.add_argument("y", type=float)
-    p_def.set_defaults(handler=_cmd_deform)
 
-    p_harm = sub.add_parser("harmonic", help="harmonic-representation operations")
-    harm_sub = p_harm.add_subparsers(dest="harmonic_command", required=True)
+def _deform_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mean", required=True, metavar="ID")
+    p.add_argument("--t", type=float, required=True, help="parameter in (0, 1]")
+    p.add_argument("x", type=float)
+    p.add_argument("y", type=float)
+    p.set_defaults(handler=_cmd_deform)
+
+
+def _harmonic_args(p: argparse.ArgumentParser) -> None:
+    harm_sub = p.add_subparsers(dest="harmonic_command", required=True)
 
     p_check = harm_sub.add_parser("check", help="probe the representability criterion")
     p_check.add_argument("--mean", required=True, metavar="ID")
     p_check.add_argument("--zgrid", metavar="S:E:C[:log]")
     p_check.set_defaults(handler=_cmd_harmonic_check)
     _add_report_flags(p_check)
-
     p_con = harm_sub.add_parser("construct", help="print the candidate representer "
                                                   "Seiffert function z m'(z)")
     p_con.add_argument("--mean", required=True, metavar="ID")
     p_con.add_argument("--zgrid", metavar="S:E:C[:log]", default=_DEFAULT_GRID)
     p_con.set_defaults(handler=_cmd_harmonic_construct)
-
     p_ver = harm_sub.add_parser("verify", help="verify the defining integral identity")
     p_ver.add_argument("--mean", required=True, metavar="ID", help="represented mean")
     p_ver.add_argument("--repr", required=True, metavar="ID", dest="representer",
@@ -164,8 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(handler=_cmd_harmonic_verify)
     _add_report_flags(p_ver)
 
-    p_ineq = sub.add_parser("ineq", help="inequality chain verification")
-    ineq_sub = p_ineq.add_subparsers(dest="ineq_command", required=True)
+
+def _ineq_args(p: argparse.ArgumentParser) -> None:
+    ineq_sub = p.add_subparsers(dest="ineq_command", required=True)
     p_run = ineq_sub.add_parser("run", help="run one built-in chain on a pair grid")
     p_run.add_argument("--chain", required=True, metavar="NAME",
                        help="a built-in chain; an unknown name lists them all")
@@ -174,12 +166,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=_cmd_ineq_run)
     _add_report_flags(p_run)
 
-    p_suite = sub.add_parser("suite", help="run the full reproduction suite")
-    p_suite.add_argument("--all", action="store_true",
-                         help="run every check (required)")
-    p_suite.set_defaults(handler=_cmd_suite)
-    _add_report_flags(p_suite)
 
+def _suite_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--all", action="store_true", help="run every check (required)")
+    p.set_defaults(handler=_cmd_suite)
+    _add_report_flags(p)
+
+
+_VERBS = {
+    "eval": ("evaluate a catalog mean at a pair", _eval_args),
+    "seiffert": ("evaluate the Seiffert function of a mean", _seiffert_args),
+    "deform": ("evaluate the t-deformation of a mean", _deform_args),
+    "harmonic": ("harmonic-representation operations", _harmonic_args),
+    "ineq": ("inequality chain verification", _ineq_args),
+    "suite": ("run the full reproduction suite", _suite_args),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or with the arguments and sub-verbs of `verb` only."""
+    parser = argparse.ArgumentParser(
+        prog="meanlab",
+        description="Evaluate bivariate means and verify their Seiffert-function "
+                    "calculus, harmonic representations, and inequality chains.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _VERBS.items():
+        p = sub.add_parser(name, help=help_line)
+        if verb is None or verb == name:
+            add_arguments(p)
     return parser
 
 
@@ -216,14 +230,11 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_harmonic_check(args) -> int:
-    from .harmonic import check_representable
+    from .harmonic import DEFAULT_CHECK_GRID, check_representable
     from .means import seiffert_of_mean
     from .reporting import CheckRecord
-    f = seiffert_of_mean(args.mean)
-    if args.zgrid is not None:
-        verdict = check_representable(f, _parse_zgrid(args.zgrid))
-    else:
-        verdict = check_representable(f)
+    grid = DEFAULT_CHECK_GRID if args.zgrid is None else _parse_zgrid(args.zgrid)
+    verdict = check_representable(seiffert_of_mean(args.mean), grid)
     record = CheckRecord(
         check="harmonic-check", name=args.mean,
         passed=verdict.status == "representable",
@@ -292,7 +303,8 @@ def _cmd_suite(args) -> int:
 
 def run_command(argv: list[str]) -> int:
     """Parse argv and execute; returns the process exit status."""
-    parser = build_parser()
+    # argparse's verb is the first argument that is not an option: the first verb named
+    parser = build_parser(next((arg for arg in argv if arg in _VERBS), None))
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

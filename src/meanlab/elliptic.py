@@ -1,4 +1,4 @@
-"""The AGM iteration and complete elliptic integrals, functions of a modulus.
+"""Complete elliptic integrals of a modulus; the AGM loops they run live in `means`.
 
 Conventions: the modulus z enters quadratically,
 
@@ -25,8 +25,9 @@ from __future__ import annotations
 import math
 from operator import truediv
 
-from ._pairs import check_unit
+from ._pairs import MODULUS_CAP, check_modulus, check_unit
 from .errors import DomainError, NonConvergenceError
+from .means import AGM_MAX_STEPS, AGM_RTOL, _agm, _agm_e, v_seiffert_prime
 
 __all__ = [
     "ellip_k",
@@ -38,21 +39,6 @@ __all__ = [
     "v_seiffert_prime",
 ]
 
-#: Relative gap at which the AGM iteration is considered converged.
-AGM_RTOL = 1e-15
-
-#: The AGM loops raise NonConvergenceError after this many steps.  Over
-#: about 2.5 million seeded log-uniform pairs of positive doubles, a run
-#: that converged needed at most 13 steps while a*b stayed normal and 50
-#: where it was subnormal; only a product that underflowed to 0 ran
-#: longer, halving b down to 0 (411 steps for 1e-300, 1e-200).  E's loop
-#: needs at most 8 steps on [0, 1).
-AGM_MAX_STEPS = 64
-
-#: K is rejected above this modulus; it diverges at z = 1 and relative
-#: error contracts are meaningless nearby.
-MODULUS_CAP = 1.0 - 1e-12
-
 K_METHODS = ("agm", "series", "quadrature")
 
 #: The power series stop at the first term below SERIES_TERM_TOL, and
@@ -62,28 +48,6 @@ SERIES_MAX_TERMS = 10_000
 
 #: Tolerance of the quadrature routes to K and E, the oracles for the others.
 ORACLE_TOL = 1e-13
-
-
-def _agm(a: float, b: float) -> float:  # AGM's catalog evaluator: 0 < a <= b, unchecked
-    steps = 0
-    while b - a > AGM_RTOL * b:
-        if steps == AGM_MAX_STEPS:
-            raise NonConvergenceError(f"AGM not converged after {steps} steps",
-                                      best=0.5 * (a + b), error_bound=0.5 * (b - a))
-        steps += 1
-        a, b = math.sqrt(a * b), 0.5 * (a + b)
-        if a > b:
-            a, b = b, a
-    return 0.5 * (a + b)
-
-
-def _check_modulus(z: float) -> float:
-    fz = float(z)
-    if not 0.0 <= fz < 1.0:
-        raise DomainError(f"modulus must lie in [0, 1), got {z!r}")
-    if fz > MODULUS_CAP:
-        raise DomainError(f"modulus {z!r} too close to the z=1 divergence")
-    return fz
 
 
 def _power_series(name: str, ratio, z: float, scale: float = 1.0) -> float:
@@ -131,7 +95,7 @@ def ellip_k(z: float, method: str = "agm") -> float:
     convergent and uniformly accurate); "series" and "quadrature" are the
     slower routes kept as cross-checks.
     """
-    fz = _check_modulus(z)
+    fz = check_modulus(z)
     if method == "agm":
         return math.pi / (2.0 * _agm(1.0 - fz, 1.0 + fz))
     if method == "series":
@@ -154,22 +118,7 @@ def ellip_e(z: float, method: str = "agm") -> float:
     if fz == 1.0:
         return 1.0
     if method == "agm":
-        a = 1.0
-        b = math.sqrt((1.0 - fz) * (1.0 + fz))
-        s = 0.5 * fz * fz
-        pow2 = 0.5
-        steps = 0
-        while a - b > AGM_RTOL * a:
-            if steps == AGM_MAX_STEPS:
-                raise NonConvergenceError(f"E not converged after {steps} AGM steps",
-                                          best=math.pi / (a + b) * (1.0 - s))
-            steps += 1
-            c = 0.5 * (a - b)
-            pow2 *= 2.0
-            s += pow2 * c * c
-            a, b = 0.5 * (a + b), math.sqrt(a * b)
-        k = math.pi / (a + b)  # pi / (2 * agm)
-        return k * (1.0 - s)
+        return _agm_e(fz)
     if method == "quadrature":
         return _oracle(math.sqrt, fz)
     raise ValueError(f"unknown method {method!r}, expected 'agm' or 'quadrature'")
@@ -223,18 +172,3 @@ def agm_seiffert_prime(z: float) -> float:
     """
     return _power_series("derivative series", lambda m: truediv(*_c_ratio(m)),
                          check_unit(z))
-
-
-def v_seiffert_prime(z: float) -> float:
-    """Derivative of the Seiffert function of the mean V, in closed form.
-
-    v(z) = (2/pi) z E(z) / (1 - z^2), and with dE/dz = (E - K)/z,
-
-        v'(z) = (2/pi) [ (2E - K)/(1 - z^2) + 2 z^2 E/(1 - z^2)^2 ].
-    """
-    fz = check_unit(z)
-    e = ellip_e(fz)
-    k = ellip_k(fz)
-    one_minus = (1.0 - fz) * (1.0 + fz)
-    return 2.0 / math.pi * ((2.0 * e - k) / one_minus
-                            + 2.0 * fz * fz * e / (one_minus * one_minus))

@@ -33,8 +33,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from math import ldexp
 
-from ._pairs import check_pair, check_unit, half_spread, pulled_pair, unit_scale
-from .calculus import GridSpec, apply_i_operator, derivative_estimate, i_envelope, integrate
+from ._pairs import GridSpec, check_pair, check_unit, half_spread, pulled_pair, unit_scale
 from .errors import MeanLabError, NonConvergenceError
 from .means import MeanDescriptor, SeiffertFunction, get_mean, seiffert_of_mean, worst
 
@@ -122,6 +121,7 @@ def _derivative_of(m: SeiffertFunction) -> Callable[[float], float]:
     """m's closed-form derivative, else its finite-difference estimate on (0, 1)."""
     if m.derivative is not None:
         return m.derivative
+    from .calculus import derivative_estimate  # the quadrature layer loads only when used
     return lambda z: derivative_estimate(m, z, domain=(0.0, 1.0))
 
 
@@ -202,6 +202,7 @@ def verify_identity(represented: str | MeanDescriptor,
     A valid pair whose evaluation raises a MeanLabError or ArithmeticError
     is a failed point with infinite deviations; an invalid pair raises.
     """
+    from .calculus import apply_i_operator, integrate
     m_desc = get_mean(represented)
     n_desc = get_mean(representer)
     if points is None:
@@ -267,6 +268,7 @@ def log_envelope_check(mean: str | MeanDescriptor,
     Margins are relative to the arithmetic mean of the pair; equal pairs
     collapse the sandwich to equality.
     """
+    from .calculus import i_envelope
     desc = get_mean(mean)
     if points is None:
         points = default_pairs()

@@ -75,6 +75,15 @@ class TestSeiffertAndDeform:
         assert result.returncode == 2
         assert "malformed grid" in result.stderr
 
+    @pytest.mark.parametrize("verb", [["seiffert"], ["harmonic", "check"],
+                                      ["harmonic", "construct"]])
+    def test_grid_end_must_be_finite(self, verb, capsys):
+        # the grid's first point was nan, reported as a point outside (0, 1)
+        assert run_command([*verb, "--mean", "A", "--zgrid", "0.1:inf:4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "meanlab: error: grid start and end must be finite, got 0.1, inf\n"
+
     def test_deform(self):
         result = run_cli("deform", "--mean", "C", "--t", "0.5", "1", "3")
         assert result.returncode == 0
@@ -385,36 +394,44 @@ def test_format_choices_are_the_report_formats():
 #: Verbs run in one process, and modules that process must not have loaded.
 #: No verb loads `dataclasses` or `inspect`, which pull in ast, dis and tokenize,
 #: or `pathlib`, which pulls in `urllib.parse`: files are read and written with open().
+#: Only `suite --all` and the quadrature routes load `meanlab.calculus`, and only the
+#: suite and the elliptic functions' own callers load `meanlab.elliptic`: the AGM and V
+#: rows run their kernels in `meanlab.means`, and grids live in `meanlab._pairs`.
 COLD_STARTS = [
     ([["eval", "--mean", "P", "1", "3"],
       ["seiffert", "--mean", "AGM", "--z", "0.5"],
       ["seiffert", "--mean", "L", "--zgrid", "0.1:0.9:3:log"],
       ["deform", "--mean", "C", "--t", "0.5", "1", "3"]],
-     ["meanlab.harmonic", "meanlab.inequalities", "meanlab.suite", "meanlab.reporting",
-      "fractions", "json", "csv", "datetime", "dataclasses", "inspect", "pathlib",
-      "urllib.parse"]),
-    # only the quadrature routes to K and E need calculus
+     ["meanlab.elliptic", "meanlab.calculus", "meanlab.harmonic", "meanlab.inequalities",
+      "meanlab.suite", "meanlab.reporting", "fractions", "json", "csv", "datetime",
+      "dataclasses", "inspect", "pathlib", "urllib.parse"]),
     ([["eval", "--mean", "AGM", "1", "3"],
       ["eval", "--mean", "V", "1", "3"],
       ["seiffert", "--mean", "V", "--z", "0.5"],
+      ["seiffert", "--mean", "AGM", "--zgrid", "0.1:0.9:3"],
       ["deform", "--mean", "AGM", "--t", "0.5", "1", "3"]],
-     ["meanlab.calculus", "meanlab.reporting", "heapq", "dataclasses", "inspect", "pathlib",
-      "urllib.parse"]),
+     ["meanlab.elliptic", "meanlab.calculus", "meanlab.reporting", "heapq", "dataclasses",
+      "inspect", "pathlib", "urllib.parse"]),
     ([["harmonic", "check", "--mean", "SIN", "--format", "csv"]],
-     ["meanlab.inequalities", "meanlab.suite", "datetime", "dataclasses", "inspect",
+     ["meanlab.elliptic", "meanlab.calculus", "meanlab.inequalities", "meanlab.suite",
+      "heapq", "datetime", "dataclasses", "inspect", "pathlib", "urllib.parse"]),
+    ([["harmonic", "construct", "--mean", "V", "--zgrid", "0.1:0.9:5"]],
+     ["meanlab.elliptic", "meanlab.calculus", "meanlab.inequalities", "meanlab.suite",
+      "meanlab.reporting", "heapq", "json", "csv", "datetime", "dataclasses", "inspect",
       "pathlib", "urllib.parse"]),
     ([["harmonic", "verify", "--mean", "L", "--repr", "H", "--format", "csv"]],
-     ["meanlab.inequalities", "meanlab.suite", "json", "datetime", "dataclasses", "inspect",
-      "pathlib", "urllib.parse"]),
-    ([["ineq", "run", "--chain", "hh-P-G", "--format", "csv"]],
-     ["meanlab.suite", "json", "datetime", "dataclasses", "inspect", "pathlib",
-      "urllib.parse"]),
+     ["meanlab.elliptic", "meanlab.inequalities", "meanlab.suite", "json", "datetime",
+      "dataclasses", "inspect", "pathlib", "urllib.parse"]),
+    ([["ineq", "run", "--chain", "hh-P-G", "--format", "csv"],
+      ["ineq", "run", "--chain", "hh-AGM-V", "--format", "csv"]],
+     ["meanlab.elliptic", "meanlab.calculus", "meanlab.suite", "heapq", "json", "datetime",
+      "dataclasses", "inspect", "pathlib", "urllib.parse"]),
 ]
 
 
 @pytest.mark.parametrize("argvs, absent", COLD_STARTS,
                          ids=["light-verbs", "no-quadrature", "harmonic-check",
-                              "harmonic-verify", "ineq-run"])
+                              "harmonic-construct", "harmonic-verify", "ineq-run"])
 def test_cold_start_loads_only_what_its_verb_runs(argvs, absent):
     # without site (-S) no .pth file preloads a module, so every load is meanlab's
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -426,3 +443,46 @@ def test_cold_start_loads_only_what_its_verb_runs(argvs, absent):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"
+
+
+#: Help and usage errors: the top-level ones, every verb's and sub-verb's help,
+#: and a missing, surplus or invalid argument of each verb.
+PARSER_ARGVS = [
+    ["--help"], ["-h", "eval"], [], ["bogus"], ["--", "eval"],
+    *([*verb, "--help"] for verb in (["eval"], ["seiffert"], ["deform"], ["harmonic"],
+                                     ["harmonic", "check"], ["harmonic", "construct"],
+                                     ["harmonic", "verify"], ["ineq"], ["ineq", "run"],
+                                     ["suite"])),
+    ["eval"], ["eval", "--mean", "P", "1"], ["eval", "--mean", "P", "1", "x"],
+    ["eval", "--mean", "P", "1", "3", "4"], ["--bogus", "eval", "--mean", "P", "1", "3"],
+    ["seiffert", "--mean", "P"], ["seiffert", "--mean", "P", "--z", "0.5", "--zgrid", "0:1:3"],
+    ["deform", "--mean", "P", "1", "3"], ["harmonic"], ["harmonic", "bogus"],
+    ["harmonic", "check"], ["harmonic", "verify", "--mean", "L"],
+    ["harmonic", "verify", "--mean", "L", "--repr", "H", "--tol", "x"], ["ineq"],
+    ["ineq", "run"], ["suite", "--all", "--format", "xml"], ["suite", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("columns", [None, "50", "200"])
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_parser_of_one_verb_prints_what_the_full_parser_prints(argv, columns, monkeypatch,
+                                                               capsys):
+    # in-process: argparse lays help out differently from one Python version to the next
+    from meanlab import cli
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def outcome():
+        try:
+            code = run_command(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    code, out, err = outcome()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full_parser())
+    assert outcome() == (code, out, err)
+    assert code in (0, 2) and (out or err)

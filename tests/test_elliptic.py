@@ -9,6 +9,7 @@ import pytest
 import scipy.special as sp
 
 from meanlab import (
+    CATALOG,
     DomainError,
     NonConvergenceError,
     agm,
@@ -296,6 +297,19 @@ class TestAgmSeiffert:
             for fn in (seiffert_of_mean("AGM"), agm_seiffert_prime, v_seiffert_prime):
                 with pytest.raises(DomainError):
                     fn(bad)
+
+    def test_v_derivative_stops_at_the_modulus_cap(self):
+        assert math.isfinite(v_seiffert_prime(elliptic.MODULUS_CAP))
+        with pytest.raises(DomainError, match="too close to the z=1 divergence"):
+            v_seiffert_prime(1.0 - 1e-13)
+
+    def test_k_and_e_run_the_kernels_of_the_agm_and_v_rows(self):
+        # one copy of each loop: the rows' own, which elliptic imports
+        assert elliptic._agm is CATALOG["AGM"].evaluator
+        assert elliptic.v_seiffert_prime is CATALOG["V"].derivative
+        for z in MODULI:
+            assert ellip_k(z) == math.pi / (2.0 * elliptic._agm(1.0 - z, 1.0 + z))
+            assert ellip_e(z) == elliptic._agm_e(z)
 
 
 def factorial_form(m):

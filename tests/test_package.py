@@ -3,6 +3,7 @@ and the contract of its value types: immutable, compared by value."""
 
 import copy
 import importlib
+import math
 import pickle
 import subprocess
 import sys
@@ -133,6 +134,12 @@ def test_mean_descriptor_is_not_a_tuple_and_can_be_rebound_from_outside():
     ((0.1, 0.9, 1), "grid needs at least 2 points"),
     ((0.1, 0.9, 5, "cubic"), "unknown spacing 'cubic'"),
     ((0.0, 0.9, 5, "log"), "log spacing needs a positive start"),
+    # a non-finite end made the first point nan, and a float count raised TypeError
+    ((0.1, math.inf, 5), "grid start and end must be finite, got 0.1, inf"),
+    ((-math.inf, 0.9, 5), "grid start and end must be finite, got -inf, 0.9"),
+    ((math.nan, 0.9, 5), "grid start and end must be finite, got nan, 0.9"),
+    ((0.1, 0.9, 5.5), "grid count must be an integer, got 5.5"),
+    ((0.1, 0.9, 5.0), "grid count must be an integer, got 5.0"),
 ])
 def test_grid_spec_validation(args, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
