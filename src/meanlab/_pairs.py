@@ -1,11 +1,13 @@
 """The domains of the library's arguments (pairs, points, moduli, grids), each checked once
-where a value enters, and the exact power-of-two rescale that brings a far pair near 1."""
+where a value enters.  `check_pair` and `pulled_pair` are the only code that decides a
+pair: each orders it and applies the exact power-of-two rescale that brings a pair
+outside the window near 1."""
 
 from __future__ import annotations
 
 import math
 from itertools import pairwise
-from math import frexp, inf, ldexp
+from math import frexp, ldexp
 
 from ._frozen import Frozen, set_field
 from .errors import DomainError
@@ -18,23 +20,31 @@ MAX_HALF_SPREAD = math.nextafter(1.0, 0.0)
 # product or square that a catalog mean forms there leaves the normal range.
 WINDOW_LO, WINDOW_HI = 2.0 ** -500, 2.0 ** 500
 
-# Above this, x + y overflows and the ratio form must be used instead.
-_SUM_OVERFLOW_GUARD = 8.9e307
 
+def check_pair(x: float, y: float) -> tuple[int, float, float]:
+    """Validate a positive pair, order it as (lo, hi) and decide it: (e, lo/2^e, hi/2^e).
 
-def check_pair(x: float, y: float) -> tuple[float, float]:
-    """Validate a positive pair and return it ordered as (lo, hi).
+    e = 0 inside the window, else the even integer nearest the mean of the binary
+    exponents of lo and hi; even, so that the square roots of G and P scale exactly.
+    The rescale is exact: ldexp by e gives lo and hi back.  A pair whose exponents
+    lie more than 1024 apart keeps e = 0: rescaled, its hi would square past the
+    largest double in C.
 
-    Fast path: a valid pair passes one chained comparison per argument
-    and returns; only a failing pair reaches the checks that choose its
-    message.
+    Fast path: a pair inside the window passes one chained comparison per
+    argument and returns; only a pair outside it reaches the checks that
+    choose a message, then the rescale.
     """
     fx, fy = float(x), float(y)
-    if 0.0 < fx < inf and 0.0 < fy < inf:
-        return (fx, fy) if fx <= fy else (fy, fx)
+    if WINDOW_LO <= fx <= WINDOW_HI and WINDOW_LO <= fy <= WINDOW_HI:
+        return (0, fx, fy) if fx <= fy else (0, fy, fx)
     if not (math.isfinite(fx) and math.isfinite(fy)):
         raise DomainError(f"arguments must be finite, got ({x!r}, {y!r})")
-    raise DomainError(f"arguments must be positive, got ({x!r}, {y!r})")
+    if not (fx > 0.0 and fy > 0.0):
+        raise DomainError(f"arguments must be positive, got ({x!r}, {y!r})")
+    lo, hi = (fx, fy) if fx <= fy else (fy, fx)
+    e_lo, e_hi = frexp(lo)[1], frexp(hi)[1]
+    e = 0 if e_hi - e_lo > 1024 else (e_lo + e_hi + 2) // 4 * 2
+    return e, ldexp(lo, -e), ldexp(hi, -e)
 
 
 def check_unit(z: float, name: str = "z") -> float:
@@ -61,39 +71,25 @@ def check_modulus(z: float) -> float:
 
 
 def half_spread(lo: float, hi: float) -> float:
-    """|x - y| / (x + y) for an ordered pair, always in [0, 1).
+    """|x - y| / (x + y) for a decided pair, always in [0, 1).
 
-    Uses the ratio form when the sum would overflow, and clamps to the
-    largest double below 1 for pairs whose spread rounds up to 1.
+    A decided pair is near 1 or inside the window, or its hi dwarfs its lo, so
+    hi + lo cannot overflow.  Pairs whose spread rounds up to 1 are clamped to
+    the largest double below 1.
     """
-    if hi > _SUM_OVERFLOW_GUARD:
-        r = lo / hi
-        z = (1.0 - r) / (1.0 + r)
-    else:
-        z = (hi - lo) / (hi + lo)
+    z = (hi - lo) / (hi + lo)
     return MAX_HALF_SPREAD if z > MAX_HALF_SPREAD else z  # a NaN passes through
 
 
-def pulled_pair(lo: float, hi: float, t: float) -> tuple[float, float]:
-    """The arguments (m - t d, m + t d) of the t-deformation at (lo, hi), again ordered."""
+def pulled_pair(lo: float, hi: float, t: float) -> tuple[int, float, float]:
+    """The arguments (m - t d, m + t d) of the t-deformation at a decided pair,
+    decided again as `check_pair` does."""
     mid = 0.5 * (lo + hi)
     shift = 0.5 * t * (hi - lo)
     a, b = mid - shift, mid + shift
-    # check_pair raises here: x + y overflowed, or m - t d rounded to 0 for t near 1
-    return (a, b) if 0.0 < a and b < inf else check_pair(a, b)
-
-
-def unit_scale(lo: float, hi: float) -> tuple[int, float, float]:
-    """(e, lo/2^e, hi/2^e): e = 0 inside the window, else the even integer nearest
-    the mean of the binary exponents of lo and hi; even, so that the square roots
-    of G and P scale exactly.  A pair whose exponents lie more than 1024 apart
-    keeps e = 0: rescaled, its hi would square past the largest double in C.
-    """
-    if WINDOW_LO <= lo and hi <= WINDOW_HI:
-        return 0, lo, hi
-    e_lo, e_hi = frexp(lo)[1], frexp(hi)[1]
-    e = 0 if e_hi - e_lo > 1024 else (e_lo + e_hi + 2) // 4 * 2
-    return e, ldexp(lo, -e), ldexp(hi, -e)
+    # check_pair rescales a pair outside the window, and raises where m - t d
+    # rounded to 0 for t near 1
+    return (0, a, b) if WINDOW_LO <= a and b <= WINDOW_HI else check_pair(a, b)
 
 
 class GridSpec(Frozen):

@@ -33,7 +33,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from math import ldexp
 
-from ._pairs import GridSpec, check_pair, check_unit, half_spread, pulled_pair, unit_scale
+from ._pairs import GridSpec, check_pair, check_unit, half_spread, pulled_pair
 from .errors import MeanLabError, NonConvergenceError
 from .means import MeanDescriptor, SeiffertFunction, get_mean, seiffert_of_mean, worst
 
@@ -213,11 +213,12 @@ def verify_identity(represented: str | MeanDescriptor,
 
     records = []
     for x, y in points:
-        _, lo, hi = unit_scale(*check_pair(x, y))  # both deviations are scale-free
+        _, lo, hi = check_pair(x, y)  # both deviations are scale-free
         z = half_spread(lo, hi)
 
         def integrand(t: float) -> float:
-            return 1.0 / n_ordered(*pulled_pair(lo, hi, t))
+            e, a, b = pulled_pair(lo, hi, t)
+            return 1.0 / ldexp(n_ordered(a, b), e)
 
         try:
             q = integrate(integrand, 0.0, 1.0)
@@ -274,7 +275,7 @@ def log_envelope_check(mean: str | MeanDescriptor,
         points = default_pairs()
     records = []
     for x, y in points:
-        e, lo, hi = unit_scale(*check_pair(x, y))  # the margin is taken at unit scale
+        e, lo, hi = check_pair(x, y)  # the margin is taken at the decided pair
         z = half_spread(lo, hi)
         value = desc.ordered(lo, hi)
         if z == 0.0:

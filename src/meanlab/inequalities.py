@@ -36,11 +36,10 @@ from itertools import pairwise
 from math import ldexp
 
 from ._frozen import Frozen, set_field
-from ._pairs import (WINDOW_HI, WINDOW_LO, check_pair, check_unit, half_spread,
-                     pulled_pair, unit_scale)
+from ._pairs import check_pair, check_unit, half_spread
 from .errors import DomainError
 from .harmonic import PAIR_CATALOG, PairCatalogEntry, default_pairs
-from .means import CATALOG, MeanDescriptor, deform_mean, get_mean, worst
+from .means import CATALOG, MeanDescriptor, _deformed, deform_mean, get_mean, worst
 
 __all__ = [
     "ChainSpec",
@@ -112,8 +111,7 @@ def _hh_lower(n: MeanDescriptor, lo: float, hi: float) -> float:
 def _hh_refined(n: MeanDescriptor, lo: float, hi: float) -> float:
     """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair with lo < hi, kept in [lo, hi]."""
     n_value = n.evaluator(lo, hi)
-    a, b = pulled_pair(lo, hi, 0.5)  # it can tie, but needs no rescale: see MeanDescriptor
-    n_half = a if a == b else n.evaluator(a, b)
+    n_half = _deformed(n.evaluator, 0.5, lo, hi)
     # left to right and kept in [lo, hi], as in _hh_lower
     h = 4.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_half + 1.0 / n_half + 1.0 / n_value)
     return lo if h < lo else hi if h > hi else h
@@ -127,26 +125,18 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     sides.  For equal arguments both bounds collapse to x.
     """
     desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)  # as in eval_mean
-    lo, hi = check_pair(x, y)
-    if lo == hi:  # no evaluation at a tie
-        return lo, lo
-    if WINDOW_LO <= lo and hi <= WINDOW_HI:
-        return _hh_lower(desc, lo, hi), desc.ordered(*pulled_pair(lo, hi, 0.5))
-    e, lo, hi = unit_scale(lo, hi)
-    return (ldexp(_hh_lower(desc, lo, hi), e),
-            ldexp(desc.ordered(*pulled_pair(lo, hi, 0.5)), e))
+    e, lo, hi = check_pair(x, y)
+    # no evaluation at a tie
+    lower, upper = ((lo, lo) if lo == hi
+                    else (_hh_lower(desc, lo, hi), _deformed(desc.evaluator, 0.5, lo, hi)))
+    return ldexp(lower, e), ldexp(upper, e)
 
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
     desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)
-    lo, hi = check_pair(x, y)
-    if lo == hi:
-        return lo
-    if WINDOW_LO <= lo and hi <= WINDOW_HI:
-        return _hh_refined(desc, lo, hi)
-    e, lo, hi = unit_scale(lo, hi)
-    return ldexp(_hh_refined(desc, lo, hi), e)
+    e, lo, hi = check_pair(x, y)
+    return ldexp(lo if lo == hi else _hh_refined(desc, lo, hi), e)
 
 
 def envelope_lemma(kind: str, u: float) -> tuple[float, float]:
@@ -211,8 +201,8 @@ def run_chain_suite(spec: ChainSpec,
                     tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every chain term on a pair grid and report margins.
 
-    Each pair is checked once; at a tie every term is lo, and a pair outside
-    [2^-500, 2^500] is evaluated at unit scale, as `ordered` does.  An invalid
+    Each pair is checked and decided once; at a tie every term is lo, and values
+    and margins are taken at the decided pair, as a call of a mean does.  An invalid
     pair or a term failure at a point records the point as skipped and flags
     it in the report instead of aborting the whole run.  A NaN margin counts
     as the worst: it makes the minimum margin NaN and fails the chain.
@@ -226,10 +216,7 @@ def run_chain_suite(spec: ChainSpec,
     failing = None
     for x, y in pairs:
         try:
-            lo, hi = check_pair(x, y)
-            e = 0
-            if not (WINDOW_LO <= lo and hi <= WINDOW_HI):  # values and margins at unit scale
-                e, lo, hi = unit_scale(lo, hi)
+            e, lo, hi = check_pair(x, y)
             values = (tuple([evaluate(lo, hi) for evaluate in evaluators]) if lo < hi
                       else (lo,) * len(evaluators))
             a = 0.5 * (lo + hi)

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection
+from functools import partial
 from math import ldexp
 
 from ._frozen import Frozen, set_field
-from ._pairs import (WINDOW_HI, WINDOW_LO, check_modulus, check_pair, check_unit, half_spread,
-                     pulled_pair, unit_scale)
+from ._pairs import check_modulus, check_pair, check_unit, half_spread, pulled_pair
 from .errors import DomainError, NonConvergenceError, SeiffertBoundError, UnknownMeanError
 
 __all__ = [
@@ -59,14 +59,13 @@ __all__ = [
 class MeanDescriptor(Frozen):
     """A named, evaluable symmetric homogeneous mean on positive pairs.
 
-    The evaluator receives an ordered pair (lo, hi) with 0 < lo < hi.  A call
-    validates and orders its arguments (which makes the mean symmetric), then
-    runs `ordered`, the unchecked core that returns lo exactly when lo == hi.
-    A pair is decided in five places: `ordered`, each chain point, `hh_bounds`,
-    `hh_refined_lower` and the function of `seiffert_of_mean`; the last four
-    call `evaluator`.  The first four evaluate a pair outside the window
-    [2^-500, 2^500] at (lo/2^e, hi/2^e) and multiply the value by 2^e, with e
-    from `_pairs.unit_scale`.  So an evaluator sees a pair near 1, unless its
+    The evaluator receives a decided pair (lo, hi) with 0 < lo < hi.  Only
+    `_pairs.check_pair` and `_pairs.pulled_pair` decide a pair: they order it
+    (which makes the mean symmetric) and return (e, lo/2^e, hi/2^e), with e = 0
+    inside the window [2^-500, 2^500] and the pair brought near 1 outside it.
+    A call decides its arguments, returns lo at a tie and calls `evaluator`
+    otherwise, then multiplies the value by 2^e; `ordered` is that core at a
+    pair already decided.  So an evaluator sees a pair near 1, unless its
     exponents lie more than 1024 apart, and so does the pulled pair that a
     deformed mean or N^{1/2} forms from it.
     `agm` and `v_mean` are catalog rows.
@@ -92,16 +91,12 @@ class MeanDescriptor(Frozen):
         set_field(self, "derivative", derivative)
 
     def ordered(self, lo: float, hi: float) -> float:
-        """The mean at a pair known to satisfy 0 < lo <= hi; checks nothing."""
-        if lo == hi:
-            return lo
-        if WINDOW_LO <= lo and hi <= WINDOW_HI:
-            return self.evaluator(lo, hi)
-        e, lo, hi = unit_scale(lo, hi)
-        return ldexp(self.evaluator(lo, hi), e)
+        """The mean at a decided pair, 0 < lo <= hi; checks nothing."""
+        return lo if lo == hi else self.evaluator(lo, hi)
 
     def __call__(self, x: float, y: float) -> float:
-        return self.ordered(*check_pair(x, y))
+        e, lo, hi = check_pair(x, y)
+        return ldexp(lo if lo == hi else self.evaluator(lo, hi), e)
 
 
 class SeiffertFunction(Frozen):
@@ -129,7 +124,8 @@ def worst(pick: Callable, values: Collection[float]) -> float:
 
 def relative_half_spread(x: float, y: float) -> float:
     """z = |x - y| / (x + y), always in [0, 1)."""
-    return half_spread(*check_pair(x, y))
+    _, lo, hi = check_pair(x, y)  # z is scale-free
+    return half_spread(lo, hi)
 
 
 def seiffert_bounds(z: float) -> tuple[float, float]:
@@ -348,7 +344,8 @@ def eval_mean(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """Evaluate a mean at a positive pair; M(x, x) = x exactly."""
     # a catalog id in one lookup; anything else, or a miss, through get_mean
     desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)
-    return desc.ordered(*check_pair(x, y))
+    e, lo, hi = check_pair(x, y)
+    return ldexp(lo if lo == hi else desc.evaluator(lo, hi), e)
 
 
 # --------------------------------------------------------------------------
@@ -429,17 +426,20 @@ def deform(f: SeiffertFunction, t: float) -> SeiffertFunction:
     return SeiffertFunction(func, derivative, name=f"{f.name or 'f'}^{{{ft:g}}}")
 
 
+def _deformed(evaluator: Callable[[float, float], float], t: float,
+              lo: float, hi: float) -> float:
+    """M^{t} at a decided pair with lo < hi, from M's `evaluator`: the one definition
+    of a deformed mean, the N^{1/2} of the Hermite-Hadamard bounds included."""
+    e, a, b = pulled_pair(lo, hi, t)  # it can tie
+    return ldexp(a if a == b else evaluator(a, b), e)
+
+
 def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
     """M^{t}: the mean evaluated on the pair pulled toward its midpoint."""
     desc = get_mean(mean)
     ft = _check_deform(t)
     if ft == 1.0:
         return desc
-    inner = desc.evaluator
-
-    def evaluator(lo: float, hi: float) -> float:
-        a, b = pulled_pair(lo, hi, ft)  # it can tie, but needs no rescale: see MeanDescriptor
-        return a if a == b else inner(a, b)
-
     return MeanDescriptor(f"{desc.id}^{{{ft:g}}}", f"{desc.display} deformed by t={ft:g}",
-                          evaluator, note=f"t-deformation of {desc.id}")
+                          partial(_deformed, desc.evaluator, ft),
+                          note=f"t-deformation of {desc.id}")

@@ -195,6 +195,19 @@ class TestHalfSpread:
         z = relative_half_spread(1e300, 1e308)
         assert 0.0 < z < 1.0
 
+    def test_within_3_ulp_near_the_largest_double(self):
+        # hi + lo would overflow here; the pair is decided first, so z is the
+        # direct quotient at unit scale, not 1 - lo/hi, which cancels near ties
+        rng = random.Random(61)
+        worst = 0.0
+        for _ in range(20_000):
+            hi = rng.uniform(8.9e307, sys.float_info.max)
+            lo = hi / 2.0 ** 2.0 ** rng.uniform(-40.0, 6.0)  # hi/lo from 1 + 2^-40 to 2^64
+            exact = (Fraction(hi) - Fraction(lo)) / (Fraction(hi) + Fraction(lo))
+            error = abs(Fraction(relative_half_spread(lo, hi)) - exact)
+            worst = max(worst, float(error / Fraction(math.ulp(float(exact)))))
+        assert worst <= 3.0
+
     def test_extreme_ratio_clamped_below_one(self):
         z = relative_half_spread(1e-300, 1e300)
         assert 0.0 < z < 1.0
@@ -226,15 +239,26 @@ class TestCheckPair:
             check_pair(x, y)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("v", [5e-324, 1.0, 3, 1.7976931348623157e308])
+    #: the exponent that decides the tie (v, v): 0 inside the window
+    TIE_EXPONENTS = {5e-324: -1072, 1.0: 0, 3: 0, 1.7976931348623157e308: 1024}
+
+    @pytest.mark.parametrize("v", TIE_EXPONENTS)
     def test_ties(self, v):
-        lo, hi = check_pair(v, float(v))
-        assert (lo, hi) == (v, v) and type(lo) is type(hi) is float
+        e, lo, hi = check_pair(v, float(v))
+        assert e == self.TIE_EXPONENTS[v] and lo == hi and type(lo) is type(hi) is float
+        assert math.ldexp(lo, e) == v
 
     def test_orders_and_converts(self):
-        assert check_pair(3, 1.5) == (1.5, 3.0)
-        assert check_pair(1.5, 3) == (1.5, 3.0)
-        assert check_pair(1.7976931348623157e308, 5e-324) == (5e-324, 1.7976931348623157e308)
+        assert check_pair(3, 1.5) == (0, 1.5, 3.0)
+        assert check_pair(1.5, 3) == (0, 1.5, 3.0)
+        # exponents more than 1024 apart: decided as given
+        assert check_pair(1.7976931348623157e308, 5e-324) == (0, 5e-324, 1.7976931348623157e308)
+
+    def test_rescales_outside_the_window(self):
+        assert check_pair(1.7e308, 1e308) == (1024, math.ldexp(1e308, -1024),
+                                              math.ldexp(1.7e308, -1024))
+        assert check_pair(2.0 ** -500, 2.0 ** 500) == (0, 2.0 ** -500, 2.0 ** 500)
+        assert check_pair(2.0 ** -501, 1.0) == (-250, 2.0 ** -251, 2.0 ** 250)
 
 
 class TestSeiffertOfMean:

@@ -1,14 +1,17 @@
 """Each pair is decided once, a far-out pair is evaluated at unit scale, and
 every value is the recorded one.
 
-A pair is decided (tested for a tie, then handed to a catalog evaluator) in
-five places: `MeanDescriptor.ordered`, each `run_chain_suite` point,
-`hh_bounds`, `hh_refined_lower` and the function of `seiffert_of_mean`; `agm`
-and `v_mean` are the AGM and V catalog rows.  The tests here assert that
-behaviour: a tie calls no evaluator, a bad id raises as it did, an exception
-or a planted NaN reaches the caller or fails its chain point, and a pair
-outside [2^-500, 2^500] gets the value at the pair divided by an even power
-of two, multiplied back.
+Only `_pairs.check_pair` and `_pairs.pulled_pair` decide a pair: they order it
+and return (e, lo/2^e, hi/2^e), e = 0 inside [2^-500, 2^500] and an even power
+outside it.  A call of a mean, each `run_chain_suite` point, `hh_bounds`,
+`hh_refined_lower` and a deformed mean then test the decided pair for a tie,
+hand it to a catalog evaluator and multiply the value by 2^e; `agm` and
+`v_mean` are the AGM and V catalog rows.  The tests here assert that
+behaviour: no other module binds the window, a tie calls no evaluator, a bad
+id raises as it did, an exception or a planted NaN reaches the caller or fails
+its chain point, a pair outside the window gets the value at the pair divided
+by an even power of two, multiplied back, and N^{1/2} is one function wherever
+it is taken.
 
 The values themselves are checked against tests/golden/digests.txt, one
 SHA-256 line per (function, mean) over the `.hex()` bits of every output, or
@@ -19,7 +22,9 @@ deformed mean.  A change that moves them on purpose runs
 `python tests/golden/regen.py`, and its diff names every moved line.
 """
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 
@@ -29,9 +34,11 @@ from goldens import (
     BAD_IDS,
     CATALOG_CHAIN,
     DEFORMED,
+    FAR_APART,
     FAR_PAIRS,
     INVALID_PAIRS,
     NAN_PAIR,
+    NEAR_TIES,
     PAIRS,
     PLANTED_GRID,
     RAISE_PAIR,
@@ -49,13 +56,14 @@ from meanlab import (
     ChainSpec,
     MeanDescriptor,
     builtin_chain,
+    deform_mean,
     eval_mean,
     hh_bounds,
     hh_refined_lower,
     run_chain_suite,
     seiffert_of_mean,
 )
-from meanlab import elliptic
+from meanlab import _pairs, elliptic
 from meanlab.errors import NonConvergenceError
 from meanlab.inequalities import ChainPointRecord
 
@@ -138,6 +146,13 @@ class TestFarPairs:
         assert len(FAR_PAIRS) > 100
         assert {(1e-300, 1e-200), (1e308, 1.7e308), (1.0, 1e308)} <= set(FAR_PAIRS)
 
+    def test_decided_pair_scales_back_exactly(self):
+        for (x, y), (e, sx, sy) in zip(FAR_PAIRS, self.SCALED):
+            decided = _pairs.check_pair(x, y)
+            assert decided == (e, *sorted((sx, sy))), (x, y)
+            _, lo, hi = decided
+            assert (math.ldexp(lo, e), math.ldexp(hi, e)) == tuple(sorted((x, y)))
+
     def assert_homogeneous(self, fn, *head):
         for (x, y), (e, sx, sy) in zip(FAR_PAIRS, self.SCALED):
             values, scaled = as_tuple(fn(*head, x, y)), as_tuple(fn(*head, sx, sy))
@@ -169,6 +184,36 @@ class TestFarPairs:
             assert (got.x, got.y) == (x, y)
             assert bits((got.z, got.margins)) == bits((want.z, want.margins)), (x, y)
             assert bits(got.values) == bits(tuple(math.ldexp(v, e) for v in want.values))
+
+
+class TestDecidedInPairs:
+    """`_pairs` alone decides a pair, and so N^{1/2} is one function wherever it
+    is taken."""
+
+    def test_no_other_module_binds_the_window(self):
+        for info in pkgutil.iter_modules(meanlab.__path__):
+            if info.name in ("_pairs", "__main__"):  # importing __main__ would run the CLI
+                continue
+            names = vars(importlib.import_module(f"meanlab.{info.name}"))
+            assert not {"unit_scale", "WINDOW_LO", "WINDOW_HI"} & set(names), info.name
+
+    @pytest.mark.parametrize("entry", PAIR_CATALOG, ids=lambda e: e.chain)
+    def test_one_half_deformation(self, entry):
+        n = entry.representer
+        half = deform_mean(n, 0.5)
+        spec = builtin_chain(entry.chain)
+        column = [label for label, _ in spec.terms].index(f"{n}^{{1/2}}")
+        for pairs in (PAIRS, NEAR_TIES, FAR_PAIRS, FAR_APART):
+            report = run_chain_suite(spec, pairs)
+            assert report.skipped == ()
+            for (x, y), point in zip(pairs, report.points):
+                want = bits(half(x, y))
+                assert bits(point.values[column]) == want, (x, y)
+                assert bits(hh_bounds(n, x, y)[1]) == want, (x, y)
+
+    def test_sandwich_of_c_holds_far_apart(self):
+        report = run_chain_suite(builtin_chain("hh-T-C"), FAR_APART)
+        assert report.passed and report.min_margin > 0.0
 
 
 class TestIdLookup:
