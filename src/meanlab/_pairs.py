@@ -1,11 +1,12 @@
 """The domains of the library's arguments (pairs, points, moduli, grids), each checked once
-where a value enters.  `check_pair` and `pulled_pair` are the only code that decides a
-pair: each orders it and applies the exact power-of-two rescale that brings a pair
-outside the window near 1."""
+where a value enters.  `check_pair` alone decides a pair: it orders it and applies the exact
+power-of-two rescale that brings a pair outside the window near 1; `deformed` evaluates a
+pulled pair inside the window as it is, and has `check_pair` decide it outside."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import pairwise
 from math import frexp, ldexp
 
@@ -81,15 +82,20 @@ def half_spread(lo: float, hi: float) -> float:
     return MAX_HALF_SPREAD if z > MAX_HALF_SPREAD else z  # a NaN passes through
 
 
-def pulled_pair(lo: float, hi: float, t: float) -> tuple[int, float, float]:
-    """The arguments (m - t d, m + t d) of the t-deformation at a decided pair,
-    decided again as `check_pair` does."""
+def deformed(evaluator: Callable[[float, float], float], t: float,
+             lo: float, hi: float) -> float:
+    """M^{t} at a decided pair with lo <= hi, from M's `evaluator`: the mean at the pulled
+    pair (m - t d, m + t d), decided as `check_pair` decides a pair.  The one definition
+    of a deformed mean, the N^{1/2} of the Hermite-Hadamard bounds included."""
     mid = 0.5 * (lo + hi)
     shift = 0.5 * t * (hi - lo)
-    a, b = mid - shift, mid + shift
+    a, b = mid - shift, mid + shift  # it can tie
+    if WINDOW_LO <= a and b <= WINDOW_HI:
+        return a if a == b else evaluator(a, b)
     # check_pair rescales a pair outside the window, and raises where m - t d
     # rounded to 0 for t near 1
-    return (0, a, b) if WINDOW_LO <= a and b <= WINDOW_HI else check_pair(a, b)
+    e, a, b = check_pair(a, b)
+    return ldexp(a if a == b else evaluator(a, b), e)
 
 
 class GridSpec(Frozen):

@@ -33,7 +33,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from math import ldexp
 
-from ._pairs import GridSpec, check_pair, check_unit, half_spread, pulled_pair
+from ._pairs import GridSpec, check_pair, check_unit, deformed, half_spread
 from .errors import MeanLabError, NonConvergenceError
 from .means import MeanDescriptor, SeiffertFunction, get_mean, seiffert_of_mean, worst
 
@@ -209,7 +209,7 @@ def verify_identity(represented: str | MeanDescriptor,
         points = default_pairs()
     m_seiffert = seiffert_of_mean(m_desc)
     n_seiffert = seiffert_of_mean(n_desc)
-    n_ordered = n_desc.ordered
+    n_evaluator = n_desc.evaluator
 
     records = []
     for x, y in points:
@@ -217,8 +217,7 @@ def verify_identity(represented: str | MeanDescriptor,
         z = half_spread(lo, hi)
 
         def integrand(t: float) -> float:
-            e, a, b = pulled_pair(lo, hi, t)
-            return 1.0 / ldexp(n_ordered(a, b), e)
+            return 1.0 / deformed(n_evaluator, t, lo, hi)
 
         try:
             q = integrate(integrand, 0.0, 1.0)

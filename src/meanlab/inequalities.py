@@ -36,10 +36,10 @@ from itertools import pairwise
 from math import ldexp
 
 from ._frozen import Frozen, set_field
-from ._pairs import check_pair, check_unit, half_spread
+from ._pairs import check_pair, check_unit, deformed, half_spread
 from .errors import DomainError
 from .harmonic import PAIR_CATALOG, PairCatalogEntry, default_pairs
-from .means import CATALOG, MeanDescriptor, _deformed, deform_mean, get_mean, worst
+from .means import CATALOG, MeanDescriptor, deform_mean, get_mean, worst
 
 __all__ = [
     "ChainSpec",
@@ -111,7 +111,7 @@ def _hh_lower(n: MeanDescriptor, lo: float, hi: float) -> float:
 def _hh_refined(n: MeanDescriptor, lo: float, hi: float) -> float:
     """H(A, N^{1/2}, N^{1/2}, N) at an ordered pair with lo < hi, kept in [lo, hi]."""
     n_value = n.evaluator(lo, hi)
-    n_half = _deformed(n.evaluator, 0.5, lo, hi)
+    n_half = deformed(n.evaluator, 0.5, lo, hi)
     # left to right and kept in [lo, hi], as in _hh_lower
     h = 4.0 / (1.0 / (0.5 * (lo + hi)) + 1.0 / n_half + 1.0 / n_half + 1.0 / n_value)
     return lo if h < lo else hi if h > hi else h
@@ -128,15 +128,16 @@ def hh_bounds(mean: str | MeanDescriptor, x: float, y: float) -> tuple[float, fl
     e, lo, hi = check_pair(x, y)
     # no evaluation at a tie
     lower, upper = ((lo, lo) if lo == hi
-                    else (_hh_lower(desc, lo, hi), _deformed(desc.evaluator, 0.5, lo, hi)))
-    return ldexp(lower, e), ldexp(upper, e)
+                    else (_hh_lower(desc, lo, hi), deformed(desc.evaluator, 0.5, lo, hi)))
+    return (ldexp(lower, e), ldexp(upper, e)) if e else (lower, upper)
 
 
 def hh_refined_lower(mean: str | MeanDescriptor, x: float, y: float) -> float:
     """The sharper lower bound H(A, N^{1/2}, N^{1/2}, N) at a pair."""
     desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)
     e, lo, hi = check_pair(x, y)
-    return ldexp(lo if lo == hi else _hh_refined(desc, lo, hi), e)
+    lower = lo if lo == hi else _hh_refined(desc, lo, hi)
+    return ldexp(lower, e) if e else lower
 
 
 def envelope_lemma(kind: str, u: float) -> tuple[float, float]:

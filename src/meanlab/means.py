@@ -34,7 +34,7 @@ from functools import partial
 from math import ldexp
 
 from ._frozen import Frozen, set_field
-from ._pairs import check_modulus, check_pair, check_unit, half_spread, pulled_pair
+from ._pairs import check_modulus, check_pair, check_unit, deformed, half_spread
 from .errors import DomainError, NonConvergenceError, SeiffertBoundError, UnknownMeanError
 
 __all__ = [
@@ -60,14 +60,14 @@ class MeanDescriptor(Frozen):
     """A named, evaluable symmetric homogeneous mean on positive pairs.
 
     The evaluator receives a decided pair (lo, hi) with 0 < lo < hi.  Only
-    `_pairs.check_pair` and `_pairs.pulled_pair` decide a pair: they order it
-    (which makes the mean symmetric) and return (e, lo/2^e, hi/2^e), with e = 0
-    inside the window [2^-500, 2^500] and the pair brought near 1 outside it.
-    A call decides its arguments, returns lo at a tie and calls `evaluator`
-    otherwise, then multiplies the value by 2^e; `ordered` is that core at a
-    pair already decided.  So an evaluator sees a pair near 1, unless its
-    exponents lie more than 1024 apart, and so does the pulled pair that a
-    deformed mean or N^{1/2} forms from it.
+    `_pairs.check_pair` decides a pair: it orders it (which makes the mean
+    symmetric) and returns (e, lo/2^e, hi/2^e), with e = 0 inside the window
+    [2^-500, 2^500] and the pair brought near 1 outside it.  A call decides its
+    arguments, returns lo at a tie and calls `evaluator` otherwise, then
+    multiplies the value by 2^e if e is not 0; `ordered` is that core at a pair
+    already decided.  So an evaluator sees a pair near 1, unless its exponents
+    lie more than 1024 apart, and so does the pulled pair that `_pairs.deformed`
+    forms for a deformed mean or N^{1/2}.
     `agm` and `v_mean` are catalog rows.
 
     Catalog means also know their Seiffert function's shape on (0, 1)
@@ -96,7 +96,8 @@ class MeanDescriptor(Frozen):
 
     def __call__(self, x: float, y: float) -> float:
         e, lo, hi = check_pair(x, y)
-        return ldexp(lo if lo == hi else self.evaluator(lo, hi), e)
+        value = lo if lo == hi else self.evaluator(lo, hi)
+        return ldexp(value, e) if e else value
 
 
 class SeiffertFunction(Frozen):
@@ -345,7 +346,8 @@ def eval_mean(mean: str | MeanDescriptor, x: float, y: float) -> float:
     # a catalog id in one lookup; anything else, or a miss, through get_mean
     desc = type(mean) is str and CATALOG.get(mean) or get_mean(mean)
     e, lo, hi = check_pair(x, y)
-    return ldexp(lo if lo == hi else desc.evaluator(lo, hi), e)
+    value = lo if lo == hi else desc.evaluator(lo, hi)
+    return ldexp(value, e) if e else value
 
 
 # --------------------------------------------------------------------------
@@ -426,14 +428,6 @@ def deform(f: SeiffertFunction, t: float) -> SeiffertFunction:
     return SeiffertFunction(func, derivative, name=f"{f.name or 'f'}^{{{ft:g}}}")
 
 
-def _deformed(evaluator: Callable[[float, float], float], t: float,
-              lo: float, hi: float) -> float:
-    """M^{t} at a decided pair with lo < hi, from M's `evaluator`: the one definition
-    of a deformed mean, the N^{1/2} of the Hermite-Hadamard bounds included."""
-    e, a, b = pulled_pair(lo, hi, t)  # it can tie
-    return ldexp(a if a == b else evaluator(a, b), e)
-
-
 def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
     """M^{t}: the mean evaluated on the pair pulled toward its midpoint."""
     desc = get_mean(mean)
@@ -441,5 +435,5 @@ def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
     if ft == 1.0:
         return desc
     return MeanDescriptor(f"{desc.id}^{{{ft:g}}}", f"{desc.display} deformed by t={ft:g}",
-                          partial(_deformed, desc.evaluator, ft),
+                          partial(deformed, desc.evaluator, ft),
                           note=f"t-deformation of {desc.id}")

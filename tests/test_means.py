@@ -469,3 +469,77 @@ class TestContraharmonicSubnormalSquares:
             exact = (a * a + b * b) / (a + b)
             value = eval_mean("C", lo, hi)
             assert abs(Fraction(value) - exact) <= Fraction(4e-16) * exact, (lo, hi)
+
+
+def _ulp_z_points(per_end=75):
+    """z in [1e-12, 1 - 1e-12], log-spaced toward 0 and toward 1: for each of
+    `per_end` gaps g log-spaced from 1e-12 to 10^-0.3, z = g and z = 1 - g."""
+    gaps = [10.0 ** (-12.0 + 11.7 * i / (per_end - 1)) for i in range(per_end)]
+    return sorted({*gaps, *(1.0 - g for g in gaps)})
+
+
+#: Each catalog mean at an exact pair x < y, in mpmath, by its defining formula
+_MPMATH_MEANS = {
+    "A": lambda x, y: (x + y) / 2,
+    "G": lambda x, y: mpmath.sqrt(x * y),
+    "H": lambda x, y: 2 * x * y / (x + y),
+    "C": lambda x, y: (x * x + y * y) / (x + y),
+    "R": lambda x, y: mpmath.sqrt((x * x + y * y) / 2),
+    "L": lambda x, y: (y - x) / (mpmath.log(y) - mpmath.log(x)),
+    "P": lambda x, y: (y - x) / (2 * mpmath.asin((y - x) / (x + y))),
+    "T": lambda x, y: (y - x) / (2 * mpmath.atan((y - x) / (x + y))),
+    "NS": lambda x, y: (y - x) / (2 * mpmath.asinh((y - x) / (x + y))),
+    "AGM": mpmath.agm,
+    # pi H / (2 E(z)); mpmath's ellipe takes the parameter z^2
+    "V": lambda x, y: mpmath.pi * x * y / (x + y) / mpmath.ellipe(((y - x) / (x + y)) ** 2),
+    "SIN": lambda x, y: (y - x) / (2 * mpmath.sin((y - x) / (x + y))),
+    "TAN": lambda x, y: (y - x) / (2 * mpmath.tan((y - x) / (x + y))),
+    "SINH": lambda x, y: (y - x) / (2 * mpmath.sinh((y - x) / (x + y))),
+    "TANH": lambda x, y: (y - x) / (2 * mpmath.tanh((y - x) / (x + y))),
+    "COSMEAN": lambda x, y: (x + y) / 2 / mpmath.cos((y - x) / (x + y)),
+    "COS2MEAN": lambda x, y: (x + y) / 2 * mpmath.cos((y - x) / (x + y)) ** 2,
+    "COSHMEAN": lambda x, y: (x + y) / 2 / mpmath.cosh((y - x) / (x + y)),
+}
+
+
+class TestUlpAgainstMpmath:
+    """Each catalog row at (1 - z, 1 + z), in ulps of the value that mpmath
+    gives at 40 digits for the same pair of doubles (ROADMAP item 1)."""
+
+    Z_POINTS = _ulp_z_points()
+    #: 3.53 ulp at worst over these z (COS2MEAN near z = 1), the other rows below
+    BOUND = 4.0
+    #: V inherits E's error near z = 1: 22.07 ulp at worst over these z.
+    #: ROADMAP item 10 brings it to BOUND.
+    V_BOUND = 23.0
+
+    def test_z_points(self):
+        assert len(self.Z_POINTS) == 150
+        assert self.Z_POINTS[0] == 1e-12 and self.Z_POINTS[-1] == 1.0 - 1e-12
+
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    def test_row_within_bound(self, mean_id):
+        row, reference = CATALOG[mean_id], _MPMATH_MEANS[mean_id]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for z in self.Z_POINTS:
+                lo, hi = 1.0 - z, 1.0 + z
+                exact = reference(mpmath.mpf(lo), mpmath.mpf(hi))
+                error = abs(mpmath.mpf(row(lo, hi)) - exact) / math.ulp(float(exact))
+                worst = max(worst, float(error))
+        assert worst <= (self.V_BOUND if mean_id == "V" else self.BOUND)
+
+    def test_contraharmonic_with_subnormal_squares(self):
+        # hi in [1e-175, 1e-154], where lo^2 + hi^2 would be subnormal unrescaled;
+        # 2.16 ulp at worst over these pairs, against exact rationals; C uses only
+        # + * /, so its bits do not depend on the platform's libm
+        rng = random.Random(2025)
+        worst = Fraction(0)
+        for _ in range(1000):
+            hi = 10.0 ** rng.uniform(-175.0, -154.0)
+            lo = hi * 2.0 ** -rng.uniform(0.01, 20.0)
+            a, b = Fraction(lo), Fraction(hi)
+            exact = (a * a + b * b) / (a + b)
+            error = abs(Fraction(eval_mean("C", lo, hi)) - exact)
+            worst = max(worst, error / Fraction(math.ulp(float(exact))))
+        assert worst <= Fraction(22, 10)

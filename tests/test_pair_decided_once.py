@@ -1,17 +1,19 @@
 """Each pair is decided once, a far-out pair is evaluated at unit scale, and
 every value is the recorded one.
 
-Only `_pairs.check_pair` and `_pairs.pulled_pair` decide a pair: they order it
-and return (e, lo/2^e, hi/2^e), e = 0 inside [2^-500, 2^500] and an even power
-outside it.  A call of a mean, each `run_chain_suite` point, `hh_bounds`,
-`hh_refined_lower` and a deformed mean then test the decided pair for a tie,
-hand it to a catalog evaluator and multiply the value by 2^e; `agm` and
-`v_mean` are the AGM and V catalog rows.  The tests here assert that
-behaviour: no other module binds the window, a tie calls no evaluator, a bad
-id raises as it did, an exception or a planted NaN reaches the caller or fails
-its chain point, a pair outside the window gets the value at the pair divided
-by an even power of two, multiplied back, and N^{1/2} is one function wherever
-it is taken.
+Only `_pairs.check_pair` decides a pair: it orders it and returns
+(e, lo/2^e, hi/2^e), e = 0 inside [2^-500, 2^500] and an even power outside
+it.  `_pairs.deformed` forms a deformed mean's pulled pair and has
+`check_pair` decide it only outside the window.  A call of a mean, each
+`run_chain_suite` point, `hh_bounds`, `hh_refined_lower` and a deformed mean
+then test the decided pair for a tie, hand it to a catalog evaluator and
+multiply the value by 2^e if e is not 0; `agm` and `v_mean` are the AGM and V
+catalog rows.  The tests here assert that behaviour: no other module binds
+the window, a tie calls no evaluator, a bad id raises as it did, an exception
+or a planted NaN reaches the caller or fails its chain point, a pair outside
+the window gets the value at the pair divided by an even power of two,
+multiplied back, every value is a float, N^{1/2} is one function wherever it
+is taken, and so is the N^{t} of `verify_identity`.
 
 The values themselves are checked against tests/golden/digests.txt, one
 SHA-256 line per (function, mean) over the `.hex()` bits of every output, or
@@ -56,14 +58,17 @@ from meanlab import (
     ChainSpec,
     MeanDescriptor,
     builtin_chain,
+    default_pairs,
     deform_mean,
     eval_mean,
     hh_bounds,
     hh_refined_lower,
     run_chain_suite,
     seiffert_of_mean,
+    verify_identity,
 )
 from meanlab import _pairs, elliptic
+from meanlab.calculus import integrate
 from meanlab.errors import NonConvergenceError
 from meanlab.inequalities import ChainPointRecord
 
@@ -211,9 +216,43 @@ class TestDecidedInPairs:
                 assert bits(point.values[column]) == want, (x, y)
                 assert bits(hh_bounds(n, x, y)[1]) == want, (x, y)
 
+    @pytest.mark.parametrize("entry", PAIR_CATALOG, ids=lambda e: e.chain)
+    def test_deformation_of_the_identity(self, entry):
+        # the N^{t} of 1/M = integral dt/N^{t}, at every t its quadrature takes
+        m, n = CATALOG[entry.represented], entry.representer
+        pairs = default_pairs(5)
+        report = verify_identity(m, n, pairs)
+        for (x, y), point in zip(pairs, report.points):
+            q = integrate(lambda t: 1.0 / deform_mean(n, t)(x, y), 0.0, 1.0)
+            assert bits(point.product_deviation) == bits(abs(m(x, y) * q - 1.0)), (x, y)
+
     def test_sandwich_of_c_holds_far_apart(self):
         report = run_chain_suite(builtin_chain("hh-T-C"), FAR_APART)
         assert report.passed and report.min_margin > 0.0
+
+
+class TestReturnTypes:
+    """Every value is a Python float, also where the pair needs no rescale
+    (e = 0) and its value is returned as the evaluator gave it."""
+
+    INSIDE, FAR, TIE = (1, 3), (1e-300, 1e-200), (2, 2)  # ints go in, floats come out
+
+    def test_the_pairs(self):
+        assert _pairs.check_pair(*self.INSIDE)[0] == 0 != _pairs.check_pair(*self.FAR)[0]
+        assert self.FAR in FAR_PAIRS
+
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    def test_means(self, mean_id):
+        row, deformed = CATALOG[mean_id], deform_mean(mean_id, 0.3)
+        for x, y in (self.INSIDE, self.FAR, self.TIE):
+            values = eval_mean(mean_id, x, y), row(x, y), deformed(x, y)
+            assert [type(v) for v in values] == [float] * 3, (x, y)
+
+    @pytest.mark.parametrize("rep", REPRESENTERS)
+    def test_bounds(self, rep):
+        for x, y in (self.INSIDE, self.FAR, self.TIE):
+            values = *hh_bounds(rep, x, y), hh_refined_lower(rep, x, y)
+            assert [type(v) for v in values] == [float] * 3, (x, y)
 
 
 class TestIdLookup:
