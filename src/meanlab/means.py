@@ -161,17 +161,17 @@ def _root_mean_square(lo: float, hi: float) -> float:
     return math.hypot(lo, hi) / math.sqrt(2.0)
 
 
-# Below z = 1e-8 the log difference cancels catastrophically; two terms of
-# the z/artanh(z) series already reach full double precision there.  Above
-# it, log1p(d/lo) stays uniformly accurate at both ends (plain log(hi/lo)
-# cancels near equal arguments, artanh(z) amplifies near z = 1).
+# Below z = 1e-8 the log difference cancels catastrophically; there
+# L = A z/artanh(z) = A (1 - z^2/3 - ...) rounds to A, as z^2/3 < 2^-54.
+# Above it, log1p(d/lo) stays uniformly accurate at both ends (plain
+# log(hi/lo) cancels near equal arguments, artanh(z) amplifies near z = 1).
 _LOG_MEAN_SERIES_CUTOFF = 1e-8
 
 
 def _logarithmic(lo: float, hi: float) -> float:
     z = half_spread(lo, hi)
     if z < _LOG_MEAN_SERIES_CUTOFF:
-        return 0.5 * (lo + hi) * (1.0 - z * z / 3.0)
+        return 0.5 * (lo + hi)
     d = hi - lo
     r = d / lo  # overflows only for lo/hi < 2^-1024, where log(hi) - log(lo) cannot cancel
     return d / (math.log1p(r) if r < math.inf else math.log(hi) - math.log(lo))
@@ -286,17 +286,17 @@ def _register(mean_id: str, display: str, evaluator: Callable[[float, float], fl
 # id, display, evaluator, note, Seiffert shape, Seiffert derivative
 _register("A", "arithmetic mean", _arithmetic, "(x+y)/2", "affine", lambda z: 1.0)
 _register("G", "geometric mean", _geometric, "sqrt(xy)", "convex",
-          lambda z: (1.0 - z * z) ** -1.5)
+          lambda z: ((1.0 - z) * (1.0 + z)) ** -1.5)
 _register("H", "harmonic mean", _harmonic, "2xy/(x+y)", "convex",
-          lambda z: (1.0 + z * z) / (1.0 - z * z) ** 2)
+          lambda z: (1.0 + z * z) / ((1.0 - z) * (1.0 + z)) ** 2)
 _register("C", "contraharmonic mean", _contraharmonic, "(x^2+y^2)/(x+y)", "concave",
-          lambda z: (1.0 - z * z) / (1.0 + z * z) ** 2)
+          lambda z: (1.0 - z) * (1.0 + z) / (1.0 + z * z) ** 2)
 _register("R", "root-mean-square", _root_mean_square, "sqrt((x^2+y^2)/2)", "concave",
           lambda z: (1.0 + z * z) ** -1.5)
 _register("L", "logarithmic mean", _logarithmic, "(x-y)/(log x - log y)", "convex",
-          lambda z: 1.0 / (1.0 - z * z))
+          lambda z: 1.0 / ((1.0 - z) * (1.0 + z)))
 _register("P", "first Seiffert mean", _first_seiffert, "|x-y|/(2 arcsin z)", "convex",
-          lambda z: (1.0 - z * z) ** -0.5)
+          lambda z: ((1.0 - z) * (1.0 + z)) ** -0.5)
 _register("T", "second Seiffert mean", _from_spread(math.atan), "|x-y|/(2 arctan z)",
           "concave", lambda z: 1.0 / (1.0 + z * z))
 _register("NS", "Neuman-Sandor mean", _from_spread(math.asinh), "|x-y|/(2 arsinh z)",

@@ -482,6 +482,13 @@ class TestProbeShape:
         a, mid, b = verdict.witness
         assert 0.0 < a < mid < b < 1.0
 
+    def test_curvature_flips_without_nan_is_neither(self):
+        # sin(20 u) is concave up to u = pi/20 and convex after it
+        verdict = probe_shape(lambda u: math.sin(20.0 * u), GridSpec(0.01, 0.99, 41))
+        assert verdict.classification == "neither"
+        a, _, b = verdict.witness
+        assert a == 0.01 and b == pytest.approx(0.0345)
+
     def test_nan_is_neither_with_first_nan_triple(self):
         grid = GridSpec(0.0, 1.0, 11)
         verdict = probe_shape(lambda u: math.nan, grid)

@@ -14,6 +14,7 @@ from meanlab import (
     check_representable,
     construct_candidate,
     default_pairs,
+    derivative_estimate,
     get_mean,
     log_envelope_check,
     make_envelope_gap_example,
@@ -58,6 +59,13 @@ class TestCheckRepresentable:
         assert verdict.status == "representable"
         assert verdict.witness_z is None
         assert verdict.margin >= 0.0
+
+    def test_passing_margin_is_the_smallest_band_distance(self):
+        # SIN's derivative is cos
+        verdict = check_representable(seiffert_of_mean("SIN"))
+        distances = [min(math.cos(z) - 1.0 / (1.0 + z), 1.0 / (1.0 - z) - math.cos(z))
+                     for z in DEFAULT_CHECK_GRID.points()]
+        assert verdict.margin == min(distances) == 0.0009985009990425286
 
     def test_agm_is_representable(self):
         assert check_representable(seiffert_of_mean("AGM")).status == "representable"
@@ -259,6 +267,9 @@ class TestLogEnvelope:
     def test_geometric_passes_default_grid(self):
         assert log_envelope_check("G", default_pairs(20)).passed
 
+    def test_points_default_to_the_default_pairs(self):
+        assert log_envelope_check("G") == log_envelope_check("G", default_pairs())
+
     def test_nan_margin_is_the_min(self):
         # the mean is NaN at the second of two pairs only
         harmonic_row = get_mean("H")
@@ -301,6 +312,11 @@ class TestEnvelopeGapExample:
         for z in z_grid:
             assert z / (1.0 + z) <= g(z) <= z / (1.0 - z)
             assert math.log1p(z) <= g(z) <= -math.log1p(-z)
+
+    def test_derivative_is_the_derivative_of_its_function(self):
+        g = make_envelope_gap_example()
+        for z in GridSpec(0.05, 0.95, 19).points():
+            assert g.derivative(z) == pytest.approx(derivative_estimate(g, z), rel=3e-9)
 
     def test_derivative_leaves_band(self):
         verdict = check_representable(make_envelope_gap_example())

@@ -16,6 +16,7 @@ from meanlab import (
     DomainError,
     GridSpec,
     MeanDescriptor,
+    NonConvergenceError,
     SeiffertBoundError,
     SeiffertFunction,
     UnknownMeanError,
@@ -32,6 +33,7 @@ from meanlab import (
 )
 from meanlab._pairs import MAX_HALF_SPREAD, check_pair, half_spread
 from meanlab.harmonic import default_pairs
+from meanlab.means import AGM_MAX_STEPS
 from meanlab.suite import check_roundtrip
 
 positive_args = st.floats(min_value=1e-6, max_value=1e6,
@@ -171,6 +173,11 @@ class TestCatalogRows:
         shape = CATALOG[mean_id].shape
         verdict = probe_shape(seiffert_of_mean(mean_id), GridSpec(0.01, 0.99, 41))
         assert verdict.classification == ("convex" if shape == "affine" else shape)
+
+    def test_agm_derivative_at_one_stops_at_the_step_cap(self):
+        # the AGM of 1 and sqrt(1 - z^2) = 0 never closes its gap
+        with pytest.raises(NonConvergenceError, match=f"after {AGM_MAX_STEPS} AGM steps"):
+            CATALOG["AGM"].derivative(1.0)
 
     def test_seiffert_function_takes_the_row_derivative(self):
         assert seiffert_of_mean("TANH").derivative is CATALOG["TANH"].derivative
@@ -372,6 +379,10 @@ class TestDeform:
         assert value == math.ldexp(deformed(math.ldexp(1e308, -1024),
                                             math.ldexp(1.7e308, -1024)), 1024)
 
+    def test_unit_deformation_is_the_row(self):
+        for mean_id in MEAN_IDS:
+            assert deform_mean(mean_id, 1) is get_mean(mean_id)
+
     def test_geometric_half(self):
         assert deform_mean("G", 0.5)(1, 3) == pytest.approx(math.sqrt(3.75), rel=1e-15)
 
@@ -528,6 +539,28 @@ class TestUlpAgainstMpmath:
                 error = abs(mpmath.mpf(row(lo, hi)) - exact) / math.ulp(float(exact))
                 worst = max(worst, float(error))
         assert worst <= (self.V_BOUND if mean_id == "V" else self.BOUND)
+
+    #: The Seiffert derivative fields that take 1 - z^2, in closed form; written
+    #: 1 - z*z in floats they were off by up to 4.0e7 ulp near z = 1
+    DERIVATIVES = {
+        "G": lambda z: (1 - z * z) ** mpmath.mpf(-1.5),
+        "H": lambda z: (1 + z * z) / (1 - z * z) ** 2,
+        "C": lambda z: (1 - z * z) / (1 + z * z) ** 2,
+        "L": lambda z: 1 / (1 - z * z),
+        "P": lambda z: (1 - z * z) ** mpmath.mpf(-0.5),
+    }
+
+    @pytest.mark.parametrize("mean_id", sorted(DERIVATIVES))
+    def test_derivative_within_bound(self, mean_id):
+        # 3.29 ulp at worst over these z (C), the other four below 2
+        derivative, reference = CATALOG[mean_id].derivative, self.DERIVATIVES[mean_id]
+        worst = 0.0
+        with mpmath.workdps(60):
+            for z in self.Z_POINTS:
+                exact = reference(mpmath.mpf(z))
+                error = abs(mpmath.mpf(derivative(z)) - exact) / math.ulp(float(exact))
+                worst = max(worst, float(error))
+        assert worst <= self.BOUND
 
     def test_contraharmonic_with_subnormal_squares(self):
         # hi in [1e-175, 1e-154], where lo^2 + hi^2 would be subnormal unrescaled;
