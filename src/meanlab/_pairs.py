@@ -31,18 +31,18 @@ def check_pair(x: float, y: float) -> tuple[int, float, float]:
     lie more than 1024 apart keeps e = 0: rescaled, its hi would square past the
     largest double in C.
 
-    Fast path: a pair inside the window passes one chained comparison per
-    argument and returns; only a pair outside it reaches the checks that
-    choose a message, then the rescale.
+    Fast path: the pair is ordered first, and a pair inside the window passes one
+    comparison per bound and returns; only a pair outside it (a NaN included)
+    reaches the checks that choose a message, then the rescale.
     """
     fx, fy = float(x), float(y)
-    if WINDOW_LO <= fx <= WINDOW_HI and WINDOW_LO <= fy <= WINDOW_HI:
-        return (0, fx, fy) if fx <= fy else (0, fy, fx)
+    lo, hi = (fx, fy) if fx <= fy else (fy, fx)  # a NaN lands where a bound test fails
+    if WINDOW_LO <= lo and hi <= WINDOW_HI:
+        return 0, lo, hi
     if not (math.isfinite(fx) and math.isfinite(fy)):
         raise DomainError(f"arguments must be finite, got ({x!r}, {y!r})")
     if not (fx > 0.0 and fy > 0.0):
         raise DomainError(f"arguments must be positive, got ({x!r}, {y!r})")
-    lo, hi = (fx, fy) if fx <= fy else (fy, fx)
     e_lo, e_hi = frexp(lo)[1], frexp(hi)[1]
     e = 0 if e_hi - e_lo > 1024 else (e_lo + e_hi + 2) // 4 * 2
     return e, ldexp(lo, -e), ldexp(hi, -e)

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import partial
-from itertools import pairwise
-from math import ldexp
+from itertools import chain, pairwise
+from math import isnan, ldexp
+from operator import itemgetter
 
 from ._frozen import Frozen, set_field
 from ._pairs import check_pair, check_unit, deformed, half_spread
@@ -82,7 +83,7 @@ class ChainPointRecord(namedtuple("ChainPointRecord", "x y z values margins")):
     def worst_margin(self) -> float:
         """The smallest margin, or NaN if any margin is NaN.
 
-        `run_chain_suite` applies the same rule inline to each point it builds.
+        `run_chain_suite`'s minimum applies the same rule to all its points' margins.
         """
         return worst(min, self.margins)
 
@@ -197,49 +198,77 @@ def default_pair_grid(count: int = 100, z_min: float = 1e-4,
     return pairs
 
 
+def _column(column: Callable, args: tuple, failures: dict, missing: object = math.nan) -> list:
+    """`column(*args)`, one value per position of the argument lists; if it raises, it is
+    redone position by position, and a position that raises gets `missing` and keeps
+    its first failure in `failures`."""
+    try:
+        return column(*args)
+    except Exception:  # noqa: BLE001 - redone below, point by point
+        pass
+    values = []
+    for i, row in enumerate(zip(*args)):
+        try:
+            values += column(*([arg] for arg in row))
+        except Exception as exc:  # noqa: BLE001 - recorded, point skipped
+            failures.setdefault(i, f"{type(exc).__name__}: {exc}")
+            values.append(missing)
+    return values
+
+
+def _decided(pairs: list) -> list:
+    return [check_pair(x, y) for x, y in pairs]
+
+
+def _term(evaluate: Callable[[float, float], float], decided: list) -> list:
+    return [evaluate(lo, hi) if lo < hi else lo for _, lo, hi in decided]
+
+
+def _margins(lower: list, upper: list, amean: list) -> list:
+    return [(u - l) / a for l, u, a in zip(lower, upper, amean)]
+
+
+def _rescaled(values: list, scales: list) -> list:
+    return [ldexp(v, e) if e else v for v, e in zip(values, scales)]
+
+
 def run_chain_suite(spec: ChainSpec,
-                    pairs: list[tuple[float, float]] | None = None,
+                    pairs: Iterable[tuple[float, float]] | None = None,
                     tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every chain term on a pair grid and report margins.
 
-    Each pair is checked and decided once; at a tie every term is lo, and values
-    and margins are taken at the decided pair, as a call of a mean does.  An invalid
-    pair or a term failure at a point records the point as skipped and flags
-    it in the report instead of aborting the whole run.  A NaN margin counts
-    as the worst: it makes the minimum margin NaN and fails the chain.
+    Each pair is checked and decided once; then each term runs over all decided pairs
+    (`lo` at a tie), and the margins are taken term by term at the decided pairs, as
+    a call of a mean does.  An invalid pair or a term failure at a point records the
+    point as skipped, with its first failure in term order, instead of aborting the
+    run; a term that raised is redone point by point to find where.  A NaN margin
+    counts as the worst: it makes the minimum margin NaN and fails the chain.
     """
-    if pairs is None:
-        pairs = default_pair_grid()
-    evaluators = [term.evaluator for _, term in spec.terms]
-    records = []
+    pairs = list(default_pair_grid() if pairs is None else pairs)
+    failures: dict[int, str] = {}  # position in `pairs` -> first failure there
+    decided = _column(_decided, (pairs,), failures, (0, math.nan, math.nan))
+    columns = [_column(partial(_term, term.evaluator), (decided,), failures)
+               for _, term in spec.terms]
+    amean = [0.5 * (lo + hi) for _, lo, hi in decided]
+    margins = [_column(_margins, (lower, upper, amean), failures)
+               for lower, upper in pairwise(columns)]
+    scales = [e for e, _, _ in decided]
+    if any(scales):
+        columns = [_column(_rescaled, (values, scales), failures) for values in columns]
+    points = zip(pairs, decided, zip(*columns), zip(*margins))
     skipped = []
-    min_margin = math.inf
-    failing = None
-    for x, y in pairs:
-        try:
-            e, lo, hi = check_pair(x, y)
-            values = (tuple([evaluate(lo, hi) for evaluate in evaluators]) if lo < hi
-                      else (lo,) * len(evaluators))
-            a = 0.5 * (lo + hi)
-            margins = tuple([(upper - lower) / a for lower, upper in pairwise(values)])
-            if e:
-                values = tuple([ldexp(value, e) for value in values])
-        except Exception as exc:  # noqa: BLE001 - recorded, point skipped
-            skipped.append((x, y, f"{type(exc).__name__}: {exc}"))
-            continue
-        # tuple.__new__ skips the Python frame of the namedtuple's __new__
-        records.append(tuple.__new__(ChainPointRecord,
-                                     (x, y, half_spread(lo, hi), values, margins)))
-        # means.worst(min, margins) written out, one Python frame less per point
-        worst = math.nan if any(map(math.isnan, margins)) else min(margins)
-        # a NaN replaces any number and is never replaced
-        if not worst >= min_margin and min_margin == min_margin:
-            min_margin = worst
-            if not worst >= -tol:
-                failing = (x, y)
+    if failures:
+        skipped = [(x, y, failures[i]) for i, (x, y) in enumerate(pairs) if i in failures]
+        points = [point for i, point in enumerate(points) if i not in failures]
+    # tuple.__new__ skips the Python frame of the namedtuple's __new__
+    records = tuple([tuple.__new__(ChainPointRecord, (x, y, half_spread(lo, hi), v, m))
+                     for (x, y), (_, lo, hi), v, m in points])
+    # in point order, so a tie of 0.0 and -0.0 keeps the first, as worst_margin does
+    min_margin = worst(min, [math.inf, *chain.from_iterable(map(itemgetter(4), records))])
+    failing = None if min_margin >= -tol else next(  # the first point at the minimum
+        (r.x, r.y) for r in records if r.worst_margin == min_margin or isnan(r.worst_margin))
     passed = failing is None and not skipped
-    return ChainReport(spec.name, tol, tuple(records), tuple(skipped),
-                       min_margin, passed, failing)
+    return ChainReport(spec.name, tol, records, tuple(skipped), min_margin, passed, failing)
 
 
 # --------------------------------------------------------------------------

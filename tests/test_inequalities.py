@@ -260,6 +260,65 @@ class TestChainSuite:
         assert not report.passed
         assert report.failing_point == (4.0, 7.0)
 
+    @staticmethod
+    def custom(*evaluators):
+        return ChainSpec("custom", tuple((f"t{i}", MeanDescriptor(f"t{i}", "", f))
+                                         for i, f in enumerate(evaluators)))
+
+    def test_first_term_to_raise_gives_the_reason(self):
+        def first(lo, hi):
+            if lo == 3.0:
+                raise ValueError("first")
+            return lo
+
+        def second(lo, hi):
+            if lo == 3.0:
+                raise ZeroDivisionError("second")
+            return hi
+
+        report = run_chain_suite(self.custom(first, second), [(1.0, 2.0), (3.0, 4.0)])
+        assert report.skipped == ((3.0, 4.0, "ValueError: first"),)
+        assert [(p.x, p.y) for p in report.points] == [(1.0, 2.0)]
+
+    def test_rescale_overflow_skips_only_its_point(self):
+        # (1e300, 1.5e300) lies outside the window, so the term's value at the
+        # rescaled pair is multiplied back by 2^e, past the largest double
+        spec = self.custom(CATALOG["A"].evaluator, lambda lo, hi: hi * 1e9)
+        pairs = [(1.0, 3.0), (1e300, 1.5e300), (2.0, 5.0)]
+        report = run_chain_suite(spec, pairs)
+        assert report.skipped == ((1e300, 1.5e300, "OverflowError: math range error"),)
+        assert [p.values for p in report.points] == [(2.0, 3e9), (3.5, 5e9)]
+        assert not report.passed and report.failing_point is None
+
+    def test_late_failure_leaves_earlier_points_alone(self):
+        def late(lo, hi):
+            if lo == 7.0:
+                raise ValueError("late")
+            return CATALOG["C"].evaluator(lo, hi)
+
+        pairs = [(1.0, 3.0), (2.0, 5.0), (1e-300, 1e-200), (7.0, 8.0)]
+        whole = run_chain_suite(self.custom(CATALOG["G"].evaluator, CATALOG["C"].evaluator),
+                                pairs[:-1])
+        report = run_chain_suite(self.custom(CATALOG["G"].evaluator, late), pairs)
+        assert report.skipped == ((7.0, 8.0, "ValueError: late"),)
+        assert len(report.points) == 3
+        for got, want in zip(report.points, whole.points):
+            assert got == want
+            assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+            assert [m.hex() for m in got.margins] == [m.hex() for m in want.margins]
+        assert report.min_margin.hex() == whole.min_margin.hex()
+
+    def test_pairs_may_be_a_generator(self):
+        spec = builtin_chain("hh-L-H")
+        pairs = [(1.0, 3.0), (2.0, 2.0), (1e-300, 1e-200), (0.0, 1.0)]
+        assert run_chain_suite(spec, (p for p in pairs)) == run_chain_suite(spec, pairs)
+
+    def test_no_pairs_pass_with_infinite_margin(self):
+        report = run_chain_suite(builtin_chain("hh-P-G"), [])
+        assert report.min_margin == math.inf
+        assert report.passed and report.points == () and report.skipped == ()
+        assert report.failing_point is None
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             ChainSpec("tiny", (("only", lambda x, y: x),))

@@ -232,6 +232,7 @@ class TestHalfSpread:
 class TestCheckPair:
     @pytest.mark.parametrize("x, y, message", [
         (math.nan, 1.0, "arguments must be finite, got (nan, 1.0)"),
+        (1.0, math.nan, "arguments must be finite, got (1.0, nan)"),
         (1.0, math.inf, "arguments must be finite, got (1.0, inf)"),
         (-math.inf, 1.0, "arguments must be finite, got (-inf, 1.0)"),
         (-1.0, math.nan, "arguments must be finite, got (-1.0, nan)"),
@@ -328,6 +329,16 @@ class TestMeanOfSeiffert:
             m(1, 3)
         assert err.value.z == 0.5
         assert err.value.value == 0.25
+
+    def test_slack_grows_with_a_bound_over_one(self):
+        # at z = 0.9 (the pair (1, 19)) the upper bound z/(1-z) is 9, so the slack
+        # is 9 BOUND_CHECK_TOL: 5e-9 above the bound is inside it, 2e-8 is not
+        inside = mean_of_seiffert(lambda z: z / (1.0 - z) + 5e-9)
+        assert inside(1, 19) == pytest.approx(1.0, rel=1e-8)
+        outside = mean_of_seiffert(lambda z: z / (1.0 - z) + 2e-8)
+        with pytest.raises(SeiffertBoundError) as err:
+            outside(1, 19)
+        assert err.value.z == 0.9 and err.value.upper == pytest.approx(9.0, rel=1e-15)
 
     def test_nan_value_fails_with_its_witness(self):
         m = mean_of_seiffert(lambda z: math.nan)
