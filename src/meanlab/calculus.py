@@ -14,9 +14,13 @@ The quadrature is QUADPACK's globally adaptive QAG scheme with the
 15-point Gauss-Kronrod rule (Piessens et al. 1983): each panel's error
 estimate is the gap between its Kronrod value and the 7-point Gauss value
 embedded in it, and the panel with the largest error is bisected next.
-The rule is written out as straight-line code over named node and weight
-constants, and a first panel already within tolerance is returned without
-building the panel heap; most calls of I end there.
+The node arithmetic (`_nodes`) and the Kronrod and Gauss sums (`_rule`) are
+straight-line code over named constants, and a first panel already within
+tolerance is returned without building the panel heap; most integrals of I
+end there.  I of several functions at the same ascending points builds each
+interval's first-panel nodes once, evaluates every function at all of them
+before any panel is refined, and bisects only a panel that misses the
+tolerance, starting from the values already computed.
 """
 
 from __future__ import annotations
@@ -81,31 +85,30 @@ class ShapeVerdict(namedtuple("ShapeVerdict", "classification witness", defaults
     __slots__ = ()
 
 
-def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """The Kronrod value of fn over [a, b] and its distance from the Gauss value.
-
-    Straight-line code: fn is called at the centre, then left and right of
-    it from the innermost node out, and both sums add term by term from 0.0.
-    The Gauss sum keeps a 0.0 * y term at each non-Gauss node, so an infinite
-    value there still makes it NaN.
-    """
+def _nodes(a: float, b: float) -> tuple[float, tuple[float, ...]]:
+    """Half the width of [a, b] and its 15 Kronrod nodes in the order `_qk15` calls
+    fn at them: the centre, then left and right of it from the innermost node out."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y0 = fn(center)
-    d = half * _X1
-    y1 = fn(center - d) + fn(center + d)
-    d = half * _X2
-    y2 = fn(center - d) + fn(center + d)
-    d = half * _X3
-    y3 = fn(center - d) + fn(center + d)
-    d = half * _X4
-    y4 = fn(center - d) + fn(center + d)
-    d = half * _X5
-    y5 = fn(center - d) + fn(center + d)
-    d = half * _X6
-    y6 = fn(center - d) + fn(center + d)
-    d = half * _X7
-    y7 = fn(center - d) + fn(center + d)
+    d1, d2, d3, d4 = half * _X1, half * _X2, half * _X3, half * _X4
+    d5, d6, d7 = half * _X5, half * _X6, half * _X7
+    return half, (center, center - d1, center + d1, center - d2, center + d2,
+                  center - d3, center + d3, center - d4, center + d4,
+                  center - d5, center + d5, center - d6, center + d6,
+                  center - d7, center + d7)
+
+
+def _rule(half: float, y0: float, l1: float, r1: float, l2: float, r2: float,
+          l3: float, r3: float, l4: float, r4: float, l5: float, r5: float,
+          l6: float, r6: float, l7: float, r7: float) -> tuple[float, float]:
+    """The Kronrod value of a panel of half-width `half` from its 15 values in node
+    order, and its distance from the Gauss value.
+
+    Both sums add term by term from 0.0.  The Gauss sum keeps a 0.0 * y term at
+    each non-Gauss node, so an infinite value there still makes it NaN.
+    """
+    y1, y2, y3, y4 = l1 + r1, l2 + r2, l3 + r3, l4 + r4
+    y5, y6, y7 = l5 + r5, l6 + r6, l7 + r7
     kronrod = (0.0 + _WK0 * y0 + _WK1 * y1 + _WK2 * y2 + _WK3 * y3
                + _WK4 * y4 + _WK5 * y5 + _WK6 * y6 + _WK7 * y7)
     gauss = (0.0 + _WG0 * y0 + 0.0 * y1 + _WG2 * y2 + 0.0 * y3
@@ -113,13 +116,25 @@ def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return half * kronrod, abs(half * (kronrod - gauss))
 
 
+def _qk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """The Kronrod value of fn over [a, b] and its distance from the Gauss value.
+
+    fn is called once per node, in `_nodes`' order, by one straight-line call
+    each (a loop or a comprehension over the nodes costs about a third more
+    per panel), and `_rule` sums the values.
+    """
+    half, (u0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7) = _nodes(a, b)
+    return _rule(half, fn(u0), fn(l1), fn(r1), fn(l2), fn(r2), fn(l3), fn(r3), fn(l4),
+                 fn(r4), fn(l5), fn(r5), fn(l6), fn(r6), fn(l7), fn(r7))
+
+
 def integrate(fn: Callable[[float], float], a: float, b: float,
               tol: float = QUADRATURE_TOL) -> float:
     """Integrate fn over [a, b] until the summed error estimate is <= tol.
 
-    A first panel within tol is the result.  Otherwise the panel with the
-    largest estimated error is bisected next.  Raises NonConvergenceError
-    once MAX_PANELS panels are spent or that panel is too narrow to split in
+    Checks the arguments, evaluates one QK15 panel over [a, b] and hands it to
+    `_refine`, which accepts it or bisects.  Raises NonConvergenceError once
+    MAX_PANELS panels are spent or the panel to split is too narrow to split in
     floating point (QUADPACK's roundoff limit), carrying the estimate of the
     integral over [a, b] and its error bound.
     """
@@ -132,10 +147,19 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
         raise DomainError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if fa == fb:
         return 0.0
-    value, err = _qk15(fn, fa, fb)
+    return _refine(fn, fa, fb, tol, *_qk15(fn, fa, fb))
+
+
+def _refine(fn: Callable[[float], float], a: float, b: float, tol: float,
+            value: float, err: float) -> float:
+    """The integral of fn over a < b from its first QK15 panel (value, err).
+
+    A first panel within tol is the result.  Otherwise the panel with the
+    largest estimated error is bisected next, until the summed error is <= tol.
+    """
     if err <= tol:  # what the loop returns after one panel: its fsum maps -0.0 to 0.0
         return value + 0.0
-    heap = [(-err, fa, fb, value)]
+    heap = [(-err, a, b, value)]
     errsum, panels = err, 1
     # The running error sum cancels, so it is recomputed exactly before it is
     # accepted; a NaN error is never accepted.
@@ -152,7 +176,7 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
             stop = (f"{MAX_PANELS} panels" if panels >= MAX_PANELS
                     else f"roundoff limit on [{lo!r}, {hi!r}]")
             raise NonConvergenceError(
-                f"quadrature did not converge on [{fa}, {fb}] (best estimate {best!r}): "
+                f"quadrature did not converge on [{a}, {b}] (best estimate {best!r}): "
                 f"{stop} reached, error bound {errsum!r}", best, errsum)
         left, left_err = _qk15(fn, lo, mid)
         right, right_err = _qk15(fn, mid, hi)
@@ -165,9 +189,21 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
     return math.fsum(item[3] for item in heap)
 
 
+def _i_integrand(f: Callable[[float], float]) -> tuple[Callable[[float], float],
+                                                        Callable[[float], float]]:
+    """(g, integrand): f, or a SeiffertFunction's unchecked `func`, since the points
+    of I lie in (0, 1); and u -> g(u)/u, patched by its limit 1 near u = 0."""
+    g = f.func if isinstance(f, SeiffertFunction) else f
+
+    def integrand(u: float) -> float:
+        return 1.0 if u < I_OPERATOR_CUTOFF else g(u) / u
+
+    return g, integrand
+
+
 def apply_i_operator(f: Callable[[float], float], z: float) -> float:
     """I(f)(z) = integral of f(u)/u over (0, z], patched by f(u)/u -> 1 at 0."""
-    return i_operator_on(f, (z,))[0]
+    return integrate(_i_integrand(f)[1], 0.0, check_unit(z))
 
 
 def i_operator_on(f: Callable[[float], float], zs: Iterable[float]) -> list[float]:
@@ -175,17 +211,41 @@ def i_operator_on(f: Callable[[float], float], zs: Iterable[float]) -> list[floa
     [z_{k-1}, z_k], z_0 = 0.  Each meets QUADRATURE_TOL / len(zs), so every sum
     is within QUADRATURE_TOL; at one point this is one `integrate` over (0, z].
     """
+    return _i_operator_on_each((f,), zs)[0]
+
+
+def _i_operator_on_each(fs: Iterable[Callable[[float], float]],
+                        zs: Iterable[float]) -> list[list[float]]:
+    """I of each of fs at the same ascending zs: per f, the running sums of one
+    `integrate` per interval that `i_operator_on` describes, bit for bit.
+
+    Each interval's first-panel nodes are built once for all fs.  Each f is
+    evaluated at every first-panel node before any panel is refined, and only
+    a panel over tol reaches `_refine`, seeded with that panel, so no panel is
+    evaluated twice; an interval of a repeated point is 0.0 and evaluates
+    nothing, as in `integrate`.
+    """
     points = [check_unit(z) for z in zs]
     if any(b < a for a, b in pairwise(points)):
         raise DomainError("points of I must be ascending")
-    # A SeiffertFunction checks every point, and these lie in (0, 1): call its func.
-    g = f.func if isinstance(f, SeiffertFunction) else f
-
-    def integrand(u: float) -> float:
-        return 1.0 if u < I_OPERATOR_CUTOFF else g(u) / u
-
-    return list(accumulate(integrate(integrand, a, b, QUADRATURE_TOL / len(points))
-                           for a, b in pairwise([0.0, *points])))
+    tol = QUADRATURE_TOL / max(len(points), 1)
+    spans = list(pairwise([0.0, *points]))
+    firsts = [(a, b, *_nodes(a, b)) for a, b in spans if a < b]
+    nodes = [u for *_, us in firsts for u in us]
+    rows = []
+    for f in fs:
+        g, integrand = _i_integrand(f)
+        # `_i_integrand`'s integrand inline: one Python call fewer per node
+        ys = [1.0 if u < I_OPERATOR_CUTOFF else g(u) / u for u in nodes]
+        pieces = []
+        for (a, b, half, _), y in zip(firsts, zip(*[iter(ys)] * 15)):
+            value, err = _rule(half, *y)
+            # `_refine`'s accept rule inline: nearly every first panel passes it
+            pieces.append(value + 0.0 if err <= tol else
+                          _refine(integrand, a, b, tol, value, err))
+        rest = iter(pieces)
+        rows.append(list(accumulate(next(rest) if a < b else 0.0 for a, b in spans)))
+    return rows
 
 
 def i_envelope(z: float) -> tuple[float, float]:

@@ -9,14 +9,15 @@ by name preserves the intended order.  Everything here is deterministic
 from __future__ import annotations
 
 import math
+import operator
 
 from . import elliptic
 from .calculus import (
     QUADRATURE_TOL,
     GridSpec,
+    _i_operator_on_each,
     derivative_estimate,
     i_envelope,
-    i_operator_on,
     probe_shape,
 )
 from .harmonic import (
@@ -224,8 +225,9 @@ def check_envelope_lemmas() -> list[CheckRecord]:
     with the Hermite-Hadamard expressions 2n(u/2) and (u + n(u))/2."""
     records = []
     us = GridSpec(0.0005, 0.9995, 1000).points()
-    n_c = seiffert_of_mean("C")
-    n_r = seiffert_of_mean("R")
+    # u and u/2 lie in (0, 1): the functions' unchecked `func`
+    n_c = seiffert_of_mean("C").func
+    n_r = seiffert_of_mean("R").func
     for kind, target, n in (("arctan", math.atan, n_c), ("arsinh", math.asinh, n_r)):
         gaps = []
         devs = []
@@ -253,20 +255,22 @@ def check_operator_properties() -> list[CheckRecord]:
     premise_zs = GridSpec(0.01, 0.99, 99).points()
     probe_zs = [0.1 * k for k in range(1, 10)]
     probe_grid = GridSpec(0.01, 0.99, 41)
-    funcs = {mean_id: seiffert_of_mean(mean_id) for mean_id in MEAN_IDS}
-    values = {mean_id: [f(z) for z in premise_zs] for mean_id, f in funcs.items()}
-    # I of each mean once, as running sums over every point read below
+    # every point read below lies in (0, 1): the functions' unchecked `func`
+    funcs = {mean_id: seiffert_of_mean(mean_id).func for mean_id in MEAN_IDS}
+    values = {mean_id: list(map(f, premise_zs)) for mean_id, f in funcs.items()}
+    # I of every mean at once, as running sums over every point read below
     i_zs = sorted({1e-6, *probe_zs, *probe_grid.points(), *probe_grid.midpoints()})
-    i_tables = {mean_id: dict(zip(i_zs, i_operator_on(f, i_zs))) for mean_id, f in funcs.items()}
+    i_tables = {mean_id: dict(zip(i_zs, row))
+                for mean_id, row in zip(funcs, _i_operator_on_each(funcs.values(), i_zs))}
     i_values = {mean_id: [table[z] for z in probe_zs] for mean_id, table in i_tables.items()}
 
     mono_pairs = 0
     mono_gaps = [math.inf]  # the worst gap is inf when no pair is ordered
     for i, id1 in enumerate(MEAN_IDS):
         for id2 in MEAN_IDS[i + 1:]:
-            if all(a <= b for a, b in zip(values[id1], values[id2])):
+            if all(map(operator.le, values[id1], values[id2])):
                 lo_id, hi_id = id1, id2
-            elif all(a >= b for a, b in zip(values[id1], values[id2])):
+            elif all(map(operator.ge, values[id1], values[id2])):
                 lo_id, hi_id = id2, id1
             else:
                 continue

@@ -9,6 +9,8 @@ import struct
 import subprocess
 import sys
 import textwrap
+import types
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from meanlab import (
     probe_shape,
     seiffert_of_mean,
 )
+from meanlab._frozen import set_field
 from meanlab.calculus import MAX_PANELS, QUADRATURE_TOL, _qk15
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -247,6 +250,27 @@ class TestIntegrate:
         assert bits(_qk15(lambda u: -1.0, 0.0, 5e-324)[0]) == bits(-0.0)
         assert bits(integrate(lambda u: -1.0, 0.0, 5e-324)) == bits(0.0)
 
+    def test_running_error_sum_spares_the_exact_sums(self, monkeypatch):
+        # the running error sum tracks the exact one, so a refined integral sums
+        # its heap exactly twice: the error once it first falls within tol, and
+        # the value.  A flipped sign in the running sum leaves every value and
+        # panel as it was, but rechecks the error on most steps.
+        sums = 0
+
+        def fsum(values):
+            nonlocal sums
+            sums += 1
+            return math.fsum(values)
+
+        monkeypatch.setattr(calculus, "math", types.SimpleNamespace(
+            **{**{name: getattr(math, name) for name in dir(math)}, "fsum": fsum}))
+        for fn in (math.sqrt, lambda u: abs(u - 1.0 / 3.0), lambda u: math.sin(100.0 * u),
+                   lambda u: abs(u - 0.3) ** 0.5):
+            for tol in (1e-6, 1e-10, 1e-14):
+                sums = 0
+                integrate(fn, 0.0, 1.0, tol)
+                assert sums == 2, (fn, tol)
+
     def test_nan_panel_is_bisected_away(self):
         # one node at the centre of [0, 1] gives inf, so the first panel's
         # error is NaN; once that panel is split the sum must recover
@@ -392,48 +416,162 @@ class TestIOperatorOn:
             with pytest.raises(DomainError):
                 i_operator_on(f, bad)
 
-    def test_operator_check_work(self, monkeypatch):
-        # check 09 evaluates I of each mean once, as running sums: 43,950
-        # integrand evaluations when every point was its own integral
+    def test_operator_check_work(self):
+        # check 09 evaluates each mean at its 99 premise points, at every node
+        # of I's 90 first panels and 6 refined ones, and at 9 probe points:
+        # 26,334 catalog evaluations, the same on every run.  A panel evaluated
+        # twice, or I of a mean run twice, moves the count.
         from meanlab.suite import check_operator_properties
 
         evals = 0
-        qk15 = calculus._qk15
 
-        def counted(fn, a, b):
-            def g(u):
+        def counted(evaluator):
+            def run(lo, hi):
                 nonlocal evals
                 evals += 1
-                return fn(u)
-            return qk15(g, a, b)
+                return evaluator(lo, hi)
+            return run
 
-        monkeypatch.setattr(calculus, "_qk15", counted)
-        check_operator_properties()
-        first, evals = evals, 0
-        check_operator_properties()
-        assert first <= 26_000
-        assert evals == first
+        originals = {desc: desc.evaluator for desc in CATALOG.values()}
+        for desc, evaluator in originals.items():
+            set_field(desc, "evaluator", counted(evaluator))
+        try:
+            check_operator_properties()
+            first, evals = evals, 0
+            check_operator_properties()
+        finally:
+            for desc, evaluator in originals.items():
+                set_field(desc, "evaluator", evaluator)
+        assert first == evals == 26_334
 
     def test_planted_nan_fails_the_operator_check(self, monkeypatch):
         # suite check 09 folded with min()/max(), which dropped a NaN unless it
         # came first; here I(f_L) is NaN at 1e-6 and at the probe point 0.3
         from meanlab import suite
 
-        i_operator_on = suite.i_operator_on
+        i_operator_on_each = suite._i_operator_on_each
 
-        def planted(f, zs):
-            values = i_operator_on(f, zs)
-            if f.name == "f[L]":
-                for z in (1e-6, 0.1 * 3):
-                    values[zs.index(z)] = math.nan
-            return values
+        def planted(fs, zs):
+            rows = i_operator_on_each(fs, zs)
+            row = rows[MEAN_IDS.index("L")]  # check 09 passes the means in MEAN_IDS order
+            for z in (1e-6, 0.1 * 3):
+                row[zs.index(z)] = math.nan
+            return rows
 
-        monkeypatch.setattr(suite, "i_operator_on", planted)
+        monkeypatch.setattr(suite, "_i_operator_on_each", planted)
         records = {r.name: r for r in suite.check_operator_properties()}
         for name in ("I-monotone", "I-envelope", "I-vanishes-at-0", "shape-preserved-L"):
             assert not records[name].passed, name
             assert math.isnan(records[name].margin), name
         assert records["shape-preserved-G"].passed
+
+
+def check09_points():
+    """The 90 ascending points at which suite check 09 reads I."""
+    probe_grid = GridSpec(0.01, 0.99, 41)
+    return sorted({1e-6, *(0.1 * k for k in range(1, 10)), *probe_grid.points(),
+                   *probe_grid.midpoints()})
+
+
+def per_interval(fs, zs):
+    """I of each f at ascending zs as running sums of one `integrate` per interval,
+    the rows that `_i_operator_on_each` must give bit for bit."""
+    rows = []
+    for f in fs:
+        def integrand(u, f=f):
+            return 1.0 if u < calculus.I_OPERATOR_CUTOFF else f(u) / u
+
+        tol = QUADRATURE_TOL / len(zs)
+        rows.append(list(accumulate(integrate(integrand, a, b, tol)
+                                    for a, b in pairwise([0.0, *zs]))))
+    return rows
+
+
+def recording(fs):
+    """Each f wrapped to record its arguments, and the lists they go to."""
+    calls = [[] for _ in fs]
+
+    def wrap(f, seen):
+        return lambda u: seen.append(u) or f(u)
+
+    return [wrap(f, seen) for f, seen in zip(fs, calls)], calls
+
+
+class TestIOperatorOnEach:
+    """I of several functions over shared first-panel nodes: the rows and the
+    work of one `integrate` per interval."""
+
+    def test_check09_rows_are_the_per_interval_sums(self):
+        zs = check09_points()
+        assert len(zs) == 90
+        fs = [seiffert_of_mean(mean_id).func for mean_id in MEAN_IDS]
+        shared, shared_calls = recording(fs)
+        alone, alone_calls = recording(fs)
+        rows = calculus._i_operator_on_each(shared, zs)
+        expected = per_interval(alone, zs)
+        for mean_id, row, want in zip(MEAN_IDS, rows, expected):
+            assert bits(*row) == bits(*want), mean_id
+        for mean_id, seen, want in zip(MEAN_IDS, shared_calls, alone_calls):
+            assert sorted(seen) == sorted(want), mean_id
+        assert sum(map(len, shared_calls)) == 15 * (18 * 90 + 6)
+
+    def test_rejected_first_panel_is_refined_from_that_panel(self, monkeypatch):
+        # f_H's integrand is 1/(1 - u^2), about 5e3 near 0.9999: both first
+        # panels miss tol / 2 and are bisected, and no node is evaluated twice
+        f = seiffert_of_mean("H").func
+        zs = (0.5, 0.9999)
+        refined = []
+        refine = calculus._refine
+        monkeypatch.setattr(calculus, "_refine",
+                            lambda fn, a, b, *rest: refined.append((a, b)) or
+                            refine(fn, a, b, *rest))
+        (shared,), (shared_calls,) = recording([f])
+        (row,) = calculus._i_operator_on_each([shared], zs)
+        assert refined == [(0.0, 0.5), (0.5, 0.9999)]
+        monkeypatch.setattr(calculus, "_refine", refine)
+        (alone,), (alone_calls,) = recording([f])
+        assert bits(*row) == bits(*per_interval([alone], zs)[0])
+        assert sorted(shared_calls) == sorted(alone_calls)
+        assert len(shared_calls) == len(set(shared_calls)) > 30
+        assert abs(row[1] - math.atanh(0.9999)) <= 1e-11
+
+    def test_repeated_points_evaluate_nothing(self):
+        # the intervals [0.4, 0.4] are 0.0, though the integrand is infinite at 0.4
+        def f(u):
+            return math.inf if u == 0.4 else u
+
+        (counted,), (calls,) = recording([f])
+        (row,) = calculus._i_operator_on_each([counted], (0.4, 0.4, 0.4))
+        assert row == [0.4, 0.4, 0.4] and len(calls) == 15
+
+    def test_cutoff_as_in_integrate(self):
+        # nodes below I_OPERATOR_CUTOFF take the limit value 1, not f(u)/u = 2
+        def f(u):
+            return 2.0 * u
+
+        zs = (3e-14, 0.5)
+        (row,) = calculus._i_operator_on_each([f], zs)
+        assert bits(*row) == bits(*per_interval([f], zs)[0])
+        assert 3e-14 < row[0] < 6e-14
+
+    def test_no_points(self):
+        fs, calls = recording([math.sin, math.cos])
+        assert calculus._i_operator_on_each(fs, []) == [[], []]
+        assert calls == [[], []]
+
+    def test_nan_valued_function(self):
+        # a NaN at one node is bisected away, as in `integrate`; a function that
+        # is NaN everywhere does not converge, and no other row hides that
+        def one_nan(u):
+            return math.nan if u == 0.25 else u
+
+        zs = (0.5, 0.75)
+        (row,) = calculus._i_operator_on_each([one_nan], zs)
+        assert bits(*row) == bits(*per_interval([one_nan], zs)[0])
+        assert row == pytest.approx([0.5, 0.75], abs=1e-12)
+        with pytest.raises(NonConvergenceError) as err:
+            calculus._i_operator_on_each([math.sin, lambda u: math.nan], zs)
+        assert math.isnan(err.value.best) and math.isnan(err.value.error_bound)
 
 
 class TestDerivativeEstimate:
