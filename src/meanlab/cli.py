@@ -261,12 +261,10 @@ def _cmd_harmonic_verify(args) -> int:
     report = verify_identity(args.mean, args.representer,
                              _parse_pairs(args.pairs), tol=tol)
     records = [
-        CheckRecord(
-            check="harmonic-verify",
-            name=f"{report.represented}~{report.representer}[{i:02d}]",
-            passed=r.passed, x=r.x, y=r.y, z=r.z,
-            margin=tol - worst(max, (r.product_deviation, r.operator_deviation)),
-            detail=r.note)
+        CheckRecord.within("harmonic-verify",
+                           f"{report.represented}~{report.representer}[{i:02d}]",
+                           worst(max, (r.product_deviation, r.operator_deviation)), tol,
+                           r.note, x=r.x, y=r.y, z=r.z)
         for i, r in enumerate(report.points)
     ]
     return _emit_report(records, args.format, args.out)

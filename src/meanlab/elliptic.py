@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from operator import truediv
 
-from ._pairs import MODULUS_CAP, check_modulus, check_unit
+from ._pairs import check_modulus, check_unit
 from .errors import DomainError, NonConvergenceError
-from .means import AGM_MAX_STEPS, AGM_RTOL, _agm, _agm_e, v_seiffert_prime
+from .means import _agm, _agm_e, v_seiffert_prime
 
 __all__ = [
     "ellip_k",

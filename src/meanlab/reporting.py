@@ -45,6 +45,13 @@ class CheckRecord(namedtuple("CheckRecord", "check name passed x y z margin deta
 
     __slots__ = ()
 
+    @classmethod
+    def within(cls, check: str, name: str, dev: float, tol: float, detail: str,
+               **where: float) -> CheckRecord:
+        """The record of a deviation `dev` bounded by `tol`: it passes when
+        dev <= tol (a NaN fails), with margin tol - dev."""
+        return cls(check, name, dev <= tol, margin=tol - dev, detail=detail, **where)
+
 
 class ReportDocument(namedtuple("ReportDocument", "tool version timestamp records summary")):
     """A report: its CheckRecords in order, and the pass/fail/total counts in `summary`."""

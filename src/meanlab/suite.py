@@ -21,7 +21,6 @@ from .calculus import (
     probe_shape,
 )
 from .harmonic import (
-    IDENTITY_TOL,
     PAIR_CATALOG,
     check_representable,
     default_pairs,
@@ -59,9 +58,8 @@ def check_roundtrip() -> list[CheckRecord]:
             ref = original(x, y)
             devs.append(abs(rebuilt(x, y) - ref) / ref)
         dev = worst(max, devs)
-        records.append(CheckRecord("01-roundtrip", mean_id, dev <= tol,
-                                    margin=tol - dev,
-                                    detail=f"max relative deviation {dev:.3e}"))
+        records.append(CheckRecord.within("01-roundtrip", mean_id, dev, tol,
+                                          f"max relative deviation {dev:.3e}"))
     return records
 
 
@@ -71,44 +69,37 @@ def check_harmonic_identities() -> list[CheckRecord]:
     pairs = default_pairs(20)
     for entry in PAIR_CATALOG:
         report = verify_identity(entry.represented, entry.representer, pairs)
-        records.append(CheckRecord(
-            "02-harmonic-identities",
-            f"{entry.represented}~{entry.representer}",
-            report.passed, margin=IDENTITY_TOL - report.max_deviation,
-            detail=f"max deviation {report.max_deviation:.3e} on {len(pairs)} pairs"))
+        dev = report.max_deviation
+        records.append(CheckRecord.within(
+            "02-harmonic-identities", f"{entry.represented}~{entry.representer}",
+            dev, report.tol, f"max deviation {dev:.3e} on {len(pairs)} pairs"))
     return records
+
+
+def _falsified(mean_id: str, broken_side) -> CheckRecord:
+    """Check 03's record that a mean is falsified, with the witness z at which
+    `broken_side(z)`, a closed form of its own, confirms the band side it breaks."""
+    verdict = check_representable(seiffert_of_mean(mean_id))
+    w = verdict.witness_z
+    falsified = verdict.status == "falsified"
+    return CheckRecord("03-negative-results", f"{mean_id}-falsified",
+                       falsified and w is not None and broken_side(w),
+                       margin=-verdict.margin if falsified else None,
+                       z=w, detail=f"status={verdict.status}, witness z={w}")
 
 
 def check_negative_results() -> list[CheckRecord]:
     """TANH and G are falsified, with the documented witnesses."""
-    records = []
-
-    tanh_verdict = check_representable(seiffert_of_mean("TANH"))
-    w = tanh_verdict.witness_z
-    lower_side = (w is not None
-                  and math.cosh(w) ** -2 < 1.0 / (1.0 + w))
-    records.append(CheckRecord(
-        "03-negative-results", "TANH-falsified",
-        tanh_verdict.status == "falsified" and lower_side,
-        margin=-(tanh_verdict.margin) if tanh_verdict.status == "falsified" else None,
-        z=w, detail=f"status={tanh_verdict.status}, witness z={w}"))
+    # TANH's derivative sech^2 falls below the band's lower side 1/(1+z)
+    records = [_falsified("TANH", lambda w: math.cosh(w) ** -2 < 1.0 / (1.0 + w))]
 
     est = derivative_estimate(math.tanh, 1.0, domain=(0.0, 1.0))
-    dev = abs(est - _SECH2_AT_1)
-    records.append(CheckRecord(
-        "03-negative-results", "TANH-derivative-at-1", dev <= 5e-5,
-        margin=5e-5 - dev, z=1.0,
-        detail=f"one-sided estimate {est:.10f} vs {_SECH2_AT_1:.10f}"))
+    records.append(CheckRecord.within(
+        "03-negative-results", "TANH-derivative-at-1", abs(est - _SECH2_AT_1), 5e-5,
+        f"one-sided estimate {est:.10f} vs {_SECH2_AT_1:.10f}", z=1.0))
 
-    g_verdict = check_representable(seiffert_of_mean("G"))
-    gw = g_verdict.witness_z
-    upper_side = (gw is not None
-                  and (1.0 - gw * gw) ** -1.5 > 1.0 / (1.0 - gw))
-    records.append(CheckRecord(
-        "03-negative-results", "G-falsified",
-        g_verdict.status == "falsified" and upper_side,
-        margin=-(g_verdict.margin) if g_verdict.status == "falsified" else None,
-        z=gw, detail=f"status={g_verdict.status}, witness z={gw}"))
+    # G's derivative (1 - z^2)^(-3/2) rises above the band's upper side 1/(1-z)
+    records.append(_falsified("G", lambda w: (1.0 - w * w) ** -1.5 > 1.0 / (1.0 - w)))
 
     candidate = 0.9 * (1.0 - 0.81) ** -1.5  # z m'(z) for the G candidate at z=0.9
     bound = 0.9 / 0.1
@@ -127,9 +118,8 @@ def check_gauss_identity() -> list[CheckRecord]:
         k_series = elliptic.ellip_k(z, method="series")
         product = CATALOG["AGM"](1.0 - z, 1.0 + z) * (2.0 / math.pi) * k_series
         dev = abs(product - 1.0)
-        records.append(CheckRecord("04-gauss-identity", f"z={z:.2f}", dev <= tol,
-                                    margin=tol - dev, z=z,
-                                    detail=f"|product - 1| = {dev:.3e}"))
+        records.append(CheckRecord.within("04-gauss-identity", f"z={z:.2f}", dev, tol,
+                                          f"|product - 1| = {dev:.3e}", z=z))
     return records
 
 
@@ -147,9 +137,9 @@ def check_elliptic_cross_validation() -> list[CheckRecord]:
         devs["series-vs-quadrature"].append(abs(k_series - k_quad) / k_agm)
     for name, values in devs.items():
         dev = worst(max, values)
-        records.append(CheckRecord("05-elliptic-cross-validation", f"K-{name}",
-                                    dev <= tol, margin=tol - dev,
-                                    detail=f"max relative deviation {dev:.3e} for z <= 0.9"))
+        records.append(CheckRecord.within("05-elliptic-cross-validation", f"K-{name}",
+                                          dev, tol,
+                                          f"max relative deviation {dev:.3e} for z <= 0.9"))
 
     fd_tol = 1e-6
     for k in range(1, 10):
@@ -158,10 +148,9 @@ def check_elliptic_cross_validation() -> list[CheckRecord]:
         h = 1e-5
         fd = (elliptic.ellip_k(z + h) - elliptic.ellip_k(z - h)) / (2.0 * h)
         dev = abs(formula - fd) / abs(formula)
-        records.append(CheckRecord("05-elliptic-cross-validation",
-                                    f"Kprime-fd-z={z:.1f}", dev <= fd_tol,
-                                    margin=fd_tol - dev, z=z,
-                                    detail=f"relative deviation {dev:.3e}"))
+        records.append(CheckRecord.within("05-elliptic-cross-validation",
+                                          f"Kprime-fd-z={z:.1f}", dev, fd_tol,
+                                          f"relative deviation {dev:.3e}", z=z))
     return records
 
 
@@ -213,10 +202,9 @@ def check_inequality_chains() -> list[CheckRecord]:
         name = chain_of[mean_id]
         values = [term(x, y) for _, term in builtin_chain(name).terms]
         dev = worst(max, [abs(v - e) / abs(e) for v, e in zip(values, expected)])
-        records.append(CheckRecord("07-inequality-chains", f"{name}-spot-values",
-                                    dev <= 5e-6, margin=5e-6 - dev, x=x, y=y,
-                                    detail=f"max relative deviation {dev:.3e} "
-                                           f"against frozen references"))
+        records.append(CheckRecord.within(
+            "07-inequality-chains", f"{name}-spot-values", dev, 5e-6,
+            f"max relative deviation {dev:.3e} against frozen references", x=x, y=y))
     return records
 
 
@@ -241,9 +229,9 @@ def check_envelope_lemmas() -> list[CheckRecord]:
         records.append(CheckRecord("08-envelope-lemmas", f"{kind}-strict-order",
                                     order_margin > 0.0, margin=order_margin,
                                     detail=f"min gap {order_margin:.3e} on 1000 points"))
-        records.append(CheckRecord("08-envelope-lemmas", f"{kind}-hh-coincidence",
-                                    coincide_dev <= 1e-12, margin=1e-12 - coincide_dev,
-                                    detail=f"max deviation {coincide_dev:.3e}"))
+        records.append(CheckRecord.within("08-envelope-lemmas", f"{kind}-hh-coincidence",
+                                          coincide_dev, 1e-12,
+                                          f"max deviation {coincide_dev:.3e}"))
     return records
 
 
@@ -293,9 +281,9 @@ def check_operator_properties() -> list[CheckRecord]:
                                 detail=f"worst envelope gap {env_margin:.3e}"))
 
     vanish_dev = worst(max, [abs(table[1e-6]) for table in i_tables.values()])
-    records.append(CheckRecord("09-operator-properties", "I-vanishes-at-0",
-                                vanish_dev <= 2e-6, margin=2e-6 - vanish_dev,
-                                detail=f"max |I(f)(1e-6)| = {vanish_dev:.3e}"))
+    records.append(CheckRecord.within("09-operator-properties", "I-vanishes-at-0",
+                                      vanish_dev, 2e-6,
+                                      f"max |I(f)(1e-6)| = {vanish_dev:.3e}"))
 
     for mean_id in MEAN_IDS:
         shape = CATALOG[mean_id].shape

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import pytest
 
-from meanlab import (CATALOG, DomainError, MeanDescriptor, builtin_chain, eval_mean,
-                     run_chain_suite)
+from meanlab import (CATALOG, ChainSpec, DomainError, MeanDescriptor, builtin_chain,
+                     eval_mean, inequalities, run_chain_suite)
 from meanlab.cli import run_command
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -104,6 +104,15 @@ class TestSeiffertAndDeform:
         result = run_cli("seiffert", "--mean", "A", "--zgrid", "0.1:0.9")
         assert result.returncode == 2
         assert "malformed grid" in result.stderr
+
+    @pytest.mark.parametrize("zgrid, reason", [
+        ("0.1:0.9:x", "non-numeric field"),
+        ("0.1:0.9:3:lin", "trailing field must be 'log'")])
+    def test_malformed_grid_field(self, zgrid, reason, run_cli):
+        result = run_cli("seiffert", "--mean", "A", "--zgrid", zgrid)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"meanlab: error: malformed grid {zgrid!r}: {reason}\n"
 
     @pytest.mark.parametrize("verb", [["seiffert"], ["harmonic", "check"],
                                       ["harmonic", "construct"]])
@@ -309,6 +318,29 @@ class TestIneq:
         assert point["pass"] == (worst >= -1e-10)
         assert result.returncode == (0 if all(r["pass"] for r in records) else 1)
 
+    def test_a_term_that_raises_skips_its_pair(self, tmp_path, monkeypatch, run_cli):
+        def planted(lo, hi):
+            if hi == 3.0:
+                raise ZeroDivisionError("planted at (1, 3)")
+            return 0.5 * (lo + hi)
+
+        spec = ChainSpec("planted", (("A", CATALOG["A"]),
+                                     ("P", MeanDescriptor("P", "planted", planted))))
+        monkeypatch.setitem(inequalities._CHAINS, "planted", spec)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,y\n1,2\n1,3\n")
+        result = run_cli("ineq", "run", "--chain", "planted", "--pairs", str(pairs),
+                         "--format", "json")
+        assert result.returncode == 1
+        records = strict_json(result.stdout)["records"]
+        assert [(r["name"], r["pass"]) for r in records] == [
+            ("chain-summary", False), ("point-000", True), ("skipped", False)]
+        skipped = records[2]
+        assert skipped["check"] == "ineq-planted"
+        assert (skipped["x"], skipped["y"], skipped["z"]) == (1.0, 3.0, None)
+        assert skipped["margin"] is None
+        assert skipped["detail"] == "ZeroDivisionError: planted at (1, 3)"
+
     def test_csv_output(self, run_cli):
         result = run_cli("ineq", "run", "--chain", "hh-T-C", "--format", "csv")
         assert result.returncode == 0
@@ -352,6 +384,16 @@ class TestPairFiles:
         assert result.stderr.startswith("meanlab: error:")
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("verb", sorted(PAIR_VERBS))
+    def test_header_only_file_is_a_usage_error(self, tmp_path, verb, run_cli):
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_text("x,y\n\n")
+        result = run_cli(*PAIR_VERBS[verb], "--pairs", str(pair_file))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"meanlab: error: pair file {str(pair_file)!r} "
+                                 "contains no pairs\n")
 
     @staticmethod
     def _verify_pair(tmp_path, pair):

@@ -25,7 +25,9 @@ from meanlab import (
     v_mean,
 )
 from meanlab import elliptic
-from meanlab.elliptic import AGM_MAX_STEPS, AGM_RTOL, v_seiffert_prime
+from meanlab._pairs import MODULUS_CAP
+from meanlab.elliptic import v_seiffert_prime
+from meanlab.means import AGM_MAX_STEPS, AGM_RTOL
 from meanlab.suite import check_coefficient_facts, check_elliptic_cross_validation
 
 # scipy's ellipk/ellipe take the parameter m = z^2
@@ -299,7 +301,7 @@ class TestAgmSeiffert:
                     fn(bad)
 
     def test_v_derivative_stops_at_the_modulus_cap(self):
-        assert math.isfinite(v_seiffert_prime(elliptic.MODULUS_CAP))
+        assert math.isfinite(v_seiffert_prime(MODULUS_CAP))
         with pytest.raises(DomainError, match="too close to the z=1 divergence"):
             v_seiffert_prime(1.0 - 1e-13)
 

@@ -114,6 +114,13 @@ def test_equal_fields_compare_equal():
     assert pickle.loads(pickle.dumps(GridSpec(0.1, 0.9, 3, "log"))) == GridSpec(0.1, 0.9, 3, "log")
 
 
+def test_a_value_type_never_equals_another_class_with_the_same_fields():
+    grid = GridSpec(0.1, 0.9, 3)
+    assert grid.__eq__((0.1, 0.9, 3, "uniform")) is NotImplemented
+    assert grid != (0.1, 0.9, 3, "uniform")
+    assert (0.1, 0.9, 3, "uniform") != grid
+
+
 def test_repr_hides_callables():
     assert repr(get_mean("P")) == ("MeanDescriptor(id='P', display='first Seiffert mean', "
                                    "note='|x-y|/(2 arcsin z)', shape='convex')")

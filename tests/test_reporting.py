@@ -22,6 +22,20 @@ def _rec(check="01-x", name="n", passed=True, **kw):
     return CheckRecord(check=check, name=name, passed=passed, **kw)
 
 
+class TestWithin:
+    @pytest.mark.parametrize("dev, passed, margin", [
+        (0.0, True, 1e-12), (1e-12, True, 0.0), (2e-12, False, -1e-12),
+        (math.inf, False, -math.inf)])
+    def test_passes_up_to_the_tolerance(self, dev, passed, margin):
+        record = CheckRecord.within("01-x", "n", dev, 1e-12, "detail", x=1.0, z=0.5)
+        assert record == CheckRecord("01-x", "n", passed, 1.0, None, 0.5, margin, "detail")
+
+    def test_nan_deviation_fails(self):
+        record = CheckRecord.within("01-x", "n", math.nan, 1e-12, "")
+        assert record.passed is False
+        assert math.isnan(record.margin)
+
+
 class TestBuildReport:
     def test_empty(self):
         doc = build_report([])
