@@ -19,6 +19,7 @@ straight-line code over named constants, and a first panel already within
 tolerance is returned without building the panel heap; most integrals of I
 end there.  I of several functions at the same ascending points builds each
 interval's first-panel nodes once, evaluates every function at all of them
+(a Seiffert function's column form in one call, nothing below the cutoff)
 before any panel is refined, and bisects only a panel that misses the
 tolerance, starting from the values already computed.
 """
@@ -30,8 +31,10 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable
+from functools import partial
 from itertools import accumulate, pairwise
 from math import inf
+from operator import truediv
 
 from ._pairs import GridSpec, check_unit
 from .errors import DomainError, NonConvergenceError
@@ -189,16 +192,16 @@ def _refine(fn: Callable[[float], float], a: float, b: float, tol: float,
     return math.fsum(item[3] for item in heap)
 
 
-def _i_integrand(f: Callable[[float], float]) -> tuple[Callable[[float], float],
-                                                        Callable[[float], float]]:
-    """(g, integrand): f, or a SeiffertFunction's unchecked `func`, since the points
-    of I lie in (0, 1); and u -> g(u)/u, patched by its limit 1 near u = 0."""
-    g = f.func if isinstance(f, SeiffertFunction) else f
+def _i_integrand(f: Callable[[float], float]) -> tuple[Callable, Callable[[float], float]]:
+    """(column, integrand) of g = f, or of a SeiffertFunction's unchecked `func` (I's
+    points lie in (0, 1)): g over a list of points (f's column form, if it has one),
+    and u -> g(u)/u, patched by its limit 1 near u = 0."""
+    g, column = (f.func, f.column) if isinstance(f, SeiffertFunction) else (f, None)
 
     def integrand(u: float) -> float:
         return 1.0 if u < I_OPERATOR_CUTOFF else g(u) / u
 
-    return g, integrand
+    return column or partial(map, g), integrand
 
 
 def apply_i_operator(f: Callable[[float], float], z: float) -> float:
@@ -220,10 +223,10 @@ def _i_operator_on_each(fs: Iterable[Callable[[float], float]],
     `integrate` per interval that `i_operator_on` describes, bit for bit.
 
     Each interval's first-panel nodes are built once for all fs.  Each f is
-    evaluated at every first-panel node before any panel is refined, and only
-    a panel over tol reaches `_refine`, seeded with that panel, so no panel is
-    evaluated twice; an interval of a repeated point is 0.0 and evaluates
-    nothing, as in `integrate`.
+    evaluated at every first-panel node not below I_OPERATOR_CUTOFF, by one call
+    of its column, before any panel is refined, and only a panel over tol
+    reaches `_refine`, seeded with that panel, so no panel is evaluated twice;
+    an interval of a repeated point is 0.0 and evaluates nothing, as in `integrate`.
     """
     points = [check_unit(z) for z in zs]
     if any(b < a for a, b in pairwise(points)):
@@ -232,11 +235,14 @@ def _i_operator_on_each(fs: Iterable[Callable[[float], float]],
     spans = list(pairwise([0.0, *points]))
     firsts = [(a, b, *_nodes(a, b)) for a, b in spans if a < b]
     nodes = [u for *_, us in firsts for u in us]
+    kept = [u for u in nodes if not u < I_OPERATOR_CUTOFF]
+    limits = [i for i, u in enumerate(nodes) if u < I_OPERATOR_CUTOFF]
     rows = []
     for f in fs:
-        g, integrand = _i_integrand(f)
-        # `_i_integrand`'s integrand inline: one Python call fewer per node
-        ys = [1.0 if u < I_OPERATOR_CUTOFF else g(u) / u for u in nodes]
+        column, integrand = _i_integrand(f)
+        ys = list(map(truediv, column(kept), kept))  # `integrand` at the kept nodes,
+        for i in limits:  # and its limit 1.0 at the rest, each in its place (ascending i)
+            ys.insert(i, 1.0)
         pieces = []
         for (a, b, half, _), y in zip(firsts, zip(*[iter(ys)] * 15)):
             value, err = _rule(half, *y)
@@ -294,7 +300,8 @@ def probe_shape(fn: Callable[[float], float], grid: GridSpec) -> ShapeVerdict:
     values = [fn(x) for x in xs]
     convex_break: tuple[float, float, float] | None = None
     concave_break: tuple[float, float, float] | None = None
-    for (a, b), mid, (fa, fb) in zip(pairwise(xs), grid.midpoints(), pairwise(values)):
+    for (a, b), (fa, fb) in zip(pairwise(xs), pairwise(values)):
+        mid = 0.5 * (a + b)  # as `grid.midpoints()` forms it
         fmid = fn(mid)
         chord = 0.5 * (fa + fb)
         if math.isnan(fmid) or math.isnan(chord):

@@ -29,7 +29,7 @@ the AGM and V rows live here too, and `elliptic`'s default routes to K and E run
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable
 from functools import partial
 from math import ldexp
 
@@ -101,16 +101,19 @@ class MeanDescriptor(Frozen):
 
 
 class SeiffertFunction(Frozen):
-    """An evaluable function on (0, 1), with optional closed-form derivative."""
+    """An evaluable function on (0, 1), with optional closed-form derivative and
+    optional column form (`func` over a list of points, bit for bit, in one call)."""
 
-    __slots__ = ("func", "derivative", "name")
-    _hidden = ("func", "derivative")
+    __slots__ = ("func", "derivative", "name", "column")
+    _hidden = ("func", "derivative", "column")
 
     def __init__(self, func: Callable[[float], float],
-                 derivative: Callable[[float], float] | None = None, name: str = "") -> None:
+                 derivative: Callable[[float], float] | None = None, name: str = "",
+                 column: Callable[[Iterable[float]], list[float]] | None = None) -> None:
         set_field(self, "func", func)
         set_field(self, "derivative", derivative)
         set_field(self, "name", name)
+        set_field(self, "column", column)
 
     def __call__(self, z: float) -> float:
         return self.func(check_unit(z))
@@ -359,7 +362,8 @@ def seiffert_of_mean(mean: str | MeanDescriptor) -> SeiffertFunction:
 
     Always evaluates through the mean itself (so e.g. the AGM entry
     genuinely exercises the iteration); the descriptor's closed-form
-    derivative, if it has one, is attached.
+    derivative, if it has one, is attached.  The column form is the same
+    expression in one comprehension that calls the evaluator directly.
     """
     desc = get_mean(mean)
     evaluator = desc.evaluator
@@ -368,7 +372,11 @@ def seiffert_of_mean(mean: str | MeanDescriptor) -> SeiffertFunction:
         lo, hi = 1.0 - z, 1.0 + z  # both 1.0 for z <= 2^-54
         return z / (lo if lo == hi else evaluator(lo, hi))
 
-    return SeiffertFunction(func, desc.derivative, name=f"f[{desc.id}]")
+    def column(zs: Iterable[float]) -> list[float]:
+        return [z / (lo if lo == hi else evaluator(lo, hi))
+                for z in zs for lo, hi in ((1.0 - z, 1.0 + z),)]
+
+    return SeiffertFunction(func, desc.derivative, f"f[{desc.id}]", column)
 
 
 #: Slack (absolute, plus relative to the bound) allowed before a bound
@@ -386,11 +394,12 @@ def mean_of_seiffert(f: SeiffertFunction | Callable[[float], float],
     """
     name = getattr(f, "name", "") or "f"
     mean_id = mean_id or f"M({name})"
+    g = f.func if isinstance(f, SeiffertFunction) else f  # unchecked: z lies in (0, 1)
 
     def evaluator(lo: float, hi: float) -> float:
-        z = half_spread(lo, hi)
-        value = f(z)
-        lower, upper = z / (1.0 + z), z / (1.0 - z)  # half_spread put z in (0, 1)
+        z = half_spread(lo, hi)  # in (0, 1), as lo < hi
+        value = g(z)
+        lower, upper = z / (1.0 + z), z / (1.0 - z)
         if not (lower - BOUND_CHECK_TOL * max(1.0, lower) <= value
                 <= upper + BOUND_CHECK_TOL * max(1.0, upper)):  # a NaN fails too
             raise SeiffertBoundError(z, value, lower, upper)

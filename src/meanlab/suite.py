@@ -27,7 +27,8 @@ from .harmonic import (
     log_envelope_check,
     verify_identity,
 )
-from .inequalities import CHAIN_NAMES, builtin_chain, envelope_lemma, run_chain_suite
+from .inequalities import (CHAIN_NAMES, builtin_chain, default_pair_grid, envelope_lemma,
+                           run_chain_suite)
 from .means import CATALOG, MEAN_IDS, get_mean, mean_of_seiffert, seiffert_of_mean, worst
 from .reporting import CheckRecord
 
@@ -163,9 +164,9 @@ def check_coefficient_facts() -> list[CheckRecord]:
                                 detail="c_1 = 3/4"))
 
     # The ratio recurrence from c_0 = 1, carried exactly as c_m = num / den,
-    # against an independent route: double factorials through ordinary
-    # factorials, c_m = (2m+1) (root_num / root_den)^2 with root_num = (2m)!
-    # and root_den = 2^(2m) (m!)^2, compared by cross-multiplication.
+    # against an independent route: the double-factorial ratio in lowest terms,
+    # (2m-1)!!/(2m)!! = C(2m, m)/4^m, so c_m = (2m+1) C(2m, m)^2 / 2^(4m),
+    # compared by cross-multiplication.
     ok_ratio = True
     below_one = True
     num = den = 1
@@ -173,11 +174,9 @@ def check_coefficient_facts() -> list[CheckRecord]:
         ratio_num, ratio_den = elliptic._c_ratio(m)
         num *= ratio_num
         den *= ratio_den
-        if m <= 60 or m == max_m:
-            root_num = math.factorial(2 * m)
-            root_den = 2 ** (2 * m) * math.factorial(m) ** 2
-            if (2 * m + 1) * root_num ** 2 * den != num * root_den ** 2:
-                ok_ratio = False
+        if (m <= 60 or m == max_m) and (
+                (2 * m + 1) * math.comb(2 * m, m) ** 2 * den != num << (4 * m)):
+            ok_ratio = False
         if not num < den:
             below_one = False
     records.append(CheckRecord("06-series-coefficients", "ratio-identity", ok_ratio,
@@ -190,8 +189,9 @@ def check_coefficient_facts() -> list[CheckRecord]:
 def check_inequality_chains() -> list[CheckRecord]:
     """All built-in chains pass with strictly positive margins; spot values."""
     records = []
+    pairs = default_pair_grid()
     for name in CHAIN_NAMES:
-        report = run_chain_suite(builtin_chain(name))
+        report = run_chain_suite(builtin_chain(name), pairs)
         strict = report.passed and report.min_margin > 0.0
         records.append(CheckRecord("07-inequality-chains", name, strict,
                                     margin=report.min_margin,
@@ -213,17 +213,16 @@ def check_envelope_lemmas() -> list[CheckRecord]:
     with the Hermite-Hadamard expressions 2n(u/2) and (u + n(u))/2."""
     records = []
     us = GridSpec(0.0005, 0.9995, 1000).points()
-    # u and u/2 lie in (0, 1): the functions' unchecked `func`
-    n_c = seiffert_of_mean("C").func
-    n_r = seiffert_of_mean("R").func
-    for kind, target, n in (("arctan", math.atan, n_c), ("arsinh", math.asinh, n_r)):
+    halves = [u / 2.0 for u in us]
+    for kind, target, mean_id in (("arctan", math.atan, "C"), ("arsinh", math.asinh, "R")):
+        column = seiffert_of_mean(mean_id).column  # n at all u, and at all u/2
         gaps = []
         devs = []
-        for u in us:
+        for u, n_u, n_half in zip(us, column(us), column(halves)):
             lower, upper = envelope_lemma(kind, u)
             value = target(u)
             gaps += upper - value, value - lower
-            devs += abs(upper - 2.0 * n(u / 2.0)), abs(lower - 0.5 * (u + n(u)))
+            devs += abs(upper - 2.0 * n_half), abs(lower - 0.5 * (u + n_u))
         order_margin = worst(min, gaps)
         coincide_dev = worst(max, devs)
         records.append(CheckRecord("08-envelope-lemmas", f"{kind}-strict-order",
@@ -243,13 +242,13 @@ def check_operator_properties() -> list[CheckRecord]:
     premise_zs = GridSpec(0.01, 0.99, 99).points()
     probe_zs = [0.1 * k for k in range(1, 10)]
     probe_grid = GridSpec(0.01, 0.99, 41)
-    # every point read below lies in (0, 1): the functions' unchecked `func`
-    funcs = {mean_id: seiffert_of_mean(mean_id).func for mean_id in MEAN_IDS}
-    values = {mean_id: list(map(f, premise_zs)) for mean_id, f in funcs.items()}
+    # every point read below lies in (0, 1): the unchecked `func` and column forms
+    seifferts = {mean_id: seiffert_of_mean(mean_id) for mean_id in MEAN_IDS}
+    values = {mean_id: s.column(premise_zs) for mean_id, s in seifferts.items()}
     # I of every mean at once, as running sums over every point read below
     i_zs = sorted({1e-6, *probe_zs, *probe_grid.points(), *probe_grid.midpoints()})
-    i_tables = {mean_id: dict(zip(i_zs, row))
-                for mean_id, row in zip(funcs, _i_operator_on_each(funcs.values(), i_zs))}
+    i_tables = {mean_id: dict(zip(i_zs, row)) for mean_id, row
+                in zip(seifferts, _i_operator_on_each(seifferts.values(), i_zs))}
     i_values = {mean_id: [table[z] for z in probe_zs] for mean_id, table in i_tables.items()}
 
     mono_pairs = 0
@@ -287,7 +286,7 @@ def check_operator_properties() -> list[CheckRecord]:
 
     for mean_id in MEAN_IDS:
         shape = CATALOG[mean_id].shape
-        f = funcs[mean_id]
+        f = seifferts[mean_id].func
         verdict = probe_shape(i_tables[mean_id].__getitem__, probe_grid)
         gaps = []
         for z, value in zip(probe_zs, i_values[mean_id]):

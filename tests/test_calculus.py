@@ -574,6 +574,73 @@ class TestIOperatorOnEach:
         assert math.isnan(err.value.best) and math.isnan(err.value.error_bound)
 
 
+def check09_nodes():
+    """The first-panel nodes of check 09's I, and its 99 premise points."""
+    spans = pairwise([0.0, *check09_points()])
+    return [u for a, b in spans for u in calculus._nodes(a, b)[1]] + list(
+        GridSpec(0.01, 0.99, 99).points())
+
+
+def check08_points():
+    """Check 08's points u and u/2."""
+    us = GridSpec(0.0005, 0.9995, 1000).points()
+    return [*us, *(u / 2.0 for u in us)]
+
+
+class TestColumnForm:
+    """A catalog Seiffert function's column form is its `func` over a list, bit for
+    bit; I uses it where a function has one, and `func` point by point elsewhere."""
+
+    # at z = 1e-17, 1 - z == 1 + z: the tie rule, not the evaluator, gives the value
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
+    @pytest.mark.parametrize("points", [check09_nodes, check08_points, lambda: [1e-17]],
+                             ids=["check09-nodes", "check08-points", "tie"])
+    def test_column_is_func_bit_for_bit(self, mean_id, points):
+        zs = points()
+        f = seiffert_of_mean(mean_id)
+        assert [v.hex() for v in f.column(zs)] == [f.func(z).hex() for z in zs]
+
+    def test_column_is_called_once_and_never_below_the_cutoff(self):
+        f = seiffert_of_mean("L")
+        columns = []
+
+        def column(zs):
+            columns.append(list(zs))
+            return f.column(zs)
+
+        def func(u):
+            raise AssertionError("func called where the column form exists")
+
+        zs = (3e-14, 0.5)
+        (row,) = calculus._i_operator_on_each([SeiffertFunction(func, None, "L", column)], zs)
+        assert bits(*row) == bits(*per_interval([f.func], zs)[0])
+        (seen,) = columns
+        low = [u for a, b in pairwise([0.0, *zs]) for u in calculus._nodes(a, b)[1]
+               if u < calculus.I_OPERATOR_CUTOFF]
+        assert low and min(seen) >= calculus.I_OPERATOR_CUTOFF
+        assert len(seen) + len(low) == 30
+
+    def test_functions_without_a_column_keep_their_values(self):
+        # rows pinned from the point-by-point evaluation that preceded column forms
+        from meanlab.harmonic import construct_candidate, make_envelope_gap_example
+
+        fs = [construct_candidate(seiffert_of_mean("L")),
+              construct_candidate(seiffert_of_mean("AGM")), make_envelope_gap_example()]
+        assert [f.column for f in fs] == [None] * 3
+        zs = (1e-6, 0.3, 0.5, 0.9)
+        rows = calculus._i_operator_on_each(fs, zs)
+        assert [bits(*row) for row in rows] == [bits(*row) for row in
+                                                per_interval([f.func for f in fs], zs)]
+        assert [[v.hex() for v in row] for row in rows] == [
+            ["0x1.0c6f7a0b5f3b4p-20", "0x1.3cf2b50617c95p-2", "0x1.193ea7aad030ap-1",
+             "0x1.78e360604b32cp+0"],
+            ["0x1.0c6f7a0b5f22ap-20", "0x1.3a7c443682c98p-2", "0x1.12bc0e575cb66p-1",
+             "0x1.4e812a50fa43cp+0"],
+            ["0x1.0c6f7a0b60000p-20", "0x1.330530f3ff04ep-2", "0x1.ffeb8de795739p-2",
+             "0x1.cd1d4ea695d74p-1"],
+        ]
+
+
 class TestDerivativeEstimate:
     def test_arcsin(self):
         est = derivative_estimate(math.asin, 0.5)

@@ -386,6 +386,27 @@ class TestCoefficientCheck:
         assert verdicts["cm-below-1"] is False
         assert verdicts["ratio-identity"] is False
 
+    @pytest.mark.parametrize("m", [1, 60, 1000])
+    def test_lowest_terms_agree_with_factorials(self, m):
+        # check 06 compares (2m+1) C(2m, m)^2 den with num 2^(4m): the factorial
+        # comparison divided exactly by (m!)^4, so the two agree on any num, den
+        num = den = 1
+        for j in range(1, m + 1):
+            ratio_num, ratio_den = elliptic._c_ratio(j)
+            num *= ratio_num
+            den *= ratio_den
+
+        def lowest(num, den):
+            return (2 * m + 1) * math.comb(2 * m, m) ** 2 * den == num << (4 * m)
+
+        def factorials(num, den):
+            root_num = math.factorial(2 * m)
+            root_den = 2 ** (2 * m) * math.factorial(m) ** 2
+            return (2 * m + 1) * root_num ** 2 * den == num * root_den ** 2
+
+        assert lowest(num, den) is factorials(num, den) is True
+        assert lowest(num, den + 1) is factorials(num, den + 1) is False
+
 
 class TestCrossValidationCheck:
     def test_planted_nan_fails_the_records(self, monkeypatch):
