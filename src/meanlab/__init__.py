@@ -17,11 +17,11 @@ _EXPORTS = {
                "NonConvergenceError"),
     "means": ("MeanDescriptor", "SeiffertFunction", "CATALOG", "MEAN_IDS",
               "get_mean", "eval_mean", "relative_half_spread", "seiffert_bounds",
-              "seiffert_of_mean", "mean_of_seiffert", "deform", "deform_mean", "agm",
+              "seiffert_of_mean", "mean_of_seiffert", "deform_mean", "agm",
               "v_mean"),
     "_pairs": ("GridSpec",),
     "calculus": ("ShapeVerdict", "integrate", "apply_i_operator", "i_envelope",
-                 "derivative_estimate", "i_operator_on", "probe_shape"),
+                 "derivative_estimate", "probe_shape"),
     "elliptic": ("ellip_k", "ellip_e", "ellip_k_prime", "agm_seiffert_prime",
                  "agm_coefficient", "agm_coefficient_ratio"),
     "harmonic": ("RepresentationVerdict", "PairCatalogEntry", "PAIR_CATALOG",

@@ -45,7 +45,6 @@ __all__ = [
     "ShapeVerdict",
     "integrate",
     "apply_i_operator",
-    "i_operator_on",
     "i_envelope",
     "derivative_estimate",
     "probe_shape",
@@ -209,18 +208,12 @@ def apply_i_operator(f: Callable[[float], float], z: float) -> float:
     return integrate(_i_integrand(f)[1], 0.0, check_unit(z))
 
 
-def i_operator_on(f: Callable[[float], float], zs: Iterable[float]) -> list[float]:
-    """I(f) at ascending zs in (0, 1), as running sums of the integrals over
-    [z_{k-1}, z_k], z_0 = 0.  Each meets QUADRATURE_TOL / len(zs), so every sum
-    is within QUADRATURE_TOL; at one point this is one `integrate` over (0, z].
-    """
-    return _i_operator_on_each((f,), zs)[0]
-
-
 def _i_operator_on_each(fs: Iterable[Callable[[float], float]],
                         zs: Iterable[float]) -> list[list[float]]:
-    """I of each of fs at the same ascending zs: per f, the running sums of one
-    `integrate` per interval that `i_operator_on` describes, bit for bit.
+    """I of each of fs at ascending zs in (0, 1): per f, the running sums of the
+    integrals over [z_{k-1}, z_k], z_0 = 0, each bit for bit one `integrate` at
+    QUADRATURE_TOL / len(zs), so every sum is within QUADRATURE_TOL; at one point
+    this is one `integrate` over (0, z], as in `apply_i_operator`.
 
     Each interval's first-panel nodes are built once for all fs.  Each f is
     evaluated at every first-panel node not below I_OPERATOR_CUTOFF, by one call

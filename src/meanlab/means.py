@@ -17,10 +17,10 @@ The t-deformation pulls a pair toward its midpoint:
 
     M^{t}(x, y) = M(m + t d, m - t d),  m = (x+y)/2, d = (x-y)/2,
 
-for 0 < t <= 1, and on the Seiffert side f^{t}(z) = f(t z)/t.  The two
-constructions are consistent: the Seiffert function of M^{t} is f^{t}.
-Deformation of a mean is done directly on the arguments (fewer roundings),
-which turns that consistency into a cross-check instead of a definition.
+for 0 < t <= 1, and on the Seiffert side f^{t}(z) = f(t z)/t.  `deform_mean`
+forms M^{t} on the arguments (fewer roundings), through `_pairs.deformed`, the
+one definition of the deformation; its Seiffert function is
+`seiffert_of_mean(deform_mean(m, t))`.
 
 All values here are immutable and every operation is a pure function.  The loops of
 the AGM and V rows live here too, and `elliptic`'s default routes to K and E run them.
@@ -48,7 +48,6 @@ __all__ = [
     "seiffert_bounds",
     "seiffert_of_mean",
     "mean_of_seiffert",
-    "deform",
     "deform_mean",
     "agm",
     "v_mean",
@@ -409,38 +408,12 @@ def mean_of_seiffert(f: SeiffertFunction | Callable[[float], float],
                           note="constructed from a Seiffert function")
 
 
-def _check_deform(t: float) -> float:
-    ft = float(t)
-    if not 0.0 < ft <= 1.0:
-        raise DomainError(f"deformation parameter must lie in (0, 1], got {t!r}")
-    return ft
-
-
-def deform(f: SeiffertFunction, t: float) -> SeiffertFunction:
-    """f^{t}(z) = f(t z) / t; the identity deformation for t = 1."""
-    ft = _check_deform(t)
-    if ft == 1.0:
-        return f
-
-    def func(z: float) -> float:
-        return f(ft * z) / ft
-
-    if f.derivative is None:
-        derivative = None
-    else:
-        base = f.derivative
-
-        def derivative(z: float) -> float:
-            # chain rule: d/dz f(tz)/t = f'(tz)
-            return base(ft * z)
-
-    return SeiffertFunction(func, derivative, name=f"{f.name or 'f'}^{{{ft:g}}}")
-
-
 def deform_mean(mean: str | MeanDescriptor, t: float) -> MeanDescriptor:
     """M^{t}: the mean evaluated on the pair pulled toward its midpoint."""
     desc = get_mean(mean)
-    ft = _check_deform(t)
+    ft = float(t)
+    if not 0.0 < ft <= 1.0:
+        raise DomainError(f"deformation parameter must lie in (0, 1], got {t!r}")
     if ft == 1.0:
         return desc
     return MeanDescriptor(f"{desc.id}^{{{ft:g}}}", f"{desc.display} deformed by t={ft:g}",

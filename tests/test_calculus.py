@@ -28,7 +28,6 @@ from meanlab import (
     derivative_estimate,
     ellip_e,
     i_envelope,
-    i_operator_on,
     integrate,
     probe_shape,
     seiffert_of_mean,
@@ -388,7 +387,7 @@ class TestIOperatorOn:
     @pytest.mark.parametrize("mean_id, exact", [("H", math.atanh), ("G", math.asin)])
     def test_running_sums_track_closed_forms(self, mean_id, exact):
         zs = GridSpec(0.001, 0.999, 60).points()
-        values = i_operator_on(seiffert_of_mean(mean_id), zs)
+        values = calculus._i_operator_on_each((seiffert_of_mean(mean_id),), zs)[0]
         assert len(values) == len(zs)
         for z, value in zip(zs, values):
             assert abs(value - exact(z)) <= 1e-11
@@ -404,17 +403,18 @@ class TestIOperatorOn:
             assert apply_i_operator(f, z) == integrate(integrand, 0.0, z)
 
     def test_no_points(self):
-        assert i_operator_on(seiffert_of_mean("A"), []) == []
+        assert calculus._i_operator_on_each((seiffert_of_mean("A"),), [])[0] == []
 
     def test_repeated_point(self):
-        first, again, last = i_operator_on(seiffert_of_mean("L"), (0.4, 0.4, 0.6))
+        first, again, last = calculus._i_operator_on_each((seiffert_of_mean("L"),),
+                                                          (0.4, 0.4, 0.6))[0]
         assert first == again < last
 
     def test_domain(self):
         f = seiffert_of_mean("A")
         for bad in ((0.5, 0.4), (0.0, 0.5), (0.5, 1.0), (0.2, math.nan)):
             with pytest.raises(DomainError):
-                i_operator_on(f, bad)
+                calculus._i_operator_on_each((f,), bad)
 
     def test_operator_check_work(self):
         # check 09 evaluates each mean at its 99 premise points, at every node

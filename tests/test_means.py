@@ -20,7 +20,6 @@ from meanlab import (
     SeiffertBoundError,
     SeiffertFunction,
     UnknownMeanError,
-    deform,
     deform_mean,
     derivative_estimate,
     eval_mean,
@@ -377,8 +376,6 @@ class TestRoundtripCheck:
 
 class TestDeform:
     def test_identity_deformation(self):
-        f = seiffert_of_mean("P")
-        assert deform(f, 1.0)(0.3) == f(0.3)
         assert deform_mean("P", 1.0)(1, 3) == eval_mean("P", 1, 3)
 
     @pytest.mark.parametrize("mean_id", ["A", "G", "AGM"])
@@ -406,28 +403,26 @@ class TestDeform:
     def test_parameter_validation(self, t):
         with pytest.raises(DomainError):
             deform_mean("G", t)
-        with pytest.raises(DomainError):
-            deform(seiffert_of_mean("G"), t)
 
-    @pytest.mark.parametrize("mean_id", ["G", "C", "L", "AGM", "SIN"])
+    #: 4.33 ulp at worst for H, 4.22 for V and 5.25 for COS2MEAN over these t
+    #: and z, the other rows below 3.81
+    CONSISTENCY_BOUNDS = {"H": 5.0, "V": 5.0, "COS2MEAN": 6.0}
+
+    @pytest.mark.parametrize("mean_id", MEAN_IDS)
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.9, 1.0])
-    def test_deformation_consistency(self, mean_id, t, z_grid):
-        # Seiffert function of the deformed mean == deformed Seiffert function
+    def test_deformation_consistency(self, mean_id, t):
+        # the Seiffert function of the deformed mean is f^{t}(z) = f(t z)/t: in ulps
+        # of the value that mpmath gives at 40 digits for the doubles t and z
+        reference = _MPMATH_MEANS[mean_id]
         via_mean = seiffert_of_mean(deform_mean(mean_id, t))
-        via_function = deform(seiffert_of_mean(mean_id), t)
-        for z in z_grid[::7]:
-            assert via_mean(z) == pytest.approx(via_function(z), rel=1e-12)
-
-    def test_deformed_derivative_chain_rule(self):
-        f = seiffert_of_mean("L")  # artanh, derivative 1/(1-z^2)
-        g = deform(f, 0.5)
-        assert g.derivative is not None
-        assert g.derivative(0.6) == pytest.approx(1.0 / (1.0 - 0.09), rel=1e-14)
-
-    def test_deformed_function_without_derivative_has_none(self):
-        g = deform(SeiffertFunction(math.tanh, name="tanh"), 0.5)
-        assert g.derivative is None
-        assert g(0.6) == math.tanh(0.3) / 0.5
+        worst = 0.0
+        with mpmath.workdps(40):
+            for z in (k / 61 for k in range(1, 61)):
+                tz = mpmath.mpf(t) * z
+                exact = tz / reference(1 - tz, 1 + tz) / t
+                error = abs(mpmath.mpf(via_mean(z)) - exact) / math.ulp(float(exact))
+                worst = max(worst, float(error))
+        assert worst <= self.CONSISTENCY_BOUNDS.get(mean_id, 4.0)
 
 
 class TestInvariantProperties:
