@@ -8,10 +8,12 @@ band 1/(1+z) <= m'(z) <= 1/(1-z), and then n(z) = z m'(z).
 
 from meanlab import (
     PAIR_CATALOG,
+    GridSpec,
     apply_i_operator,
     check_representable,
     construct_candidate,
     default_pairs,
+    i_envelope,
     log_envelope_check,
     make_envelope_gap_example,
     seiffert_of_mean,
@@ -57,6 +59,11 @@ envelope = log_envelope_check("G", default_pairs(20))
 print(f"  G satisfies the envelope on 20 pairs (min margin "
       f"{envelope.min_margin:.3e}) yet is falsified above.")
 gap = make_envelope_gap_example()
+grid = GridSpec(0.001, 0.999, 999)
+inside = min(min(gap(z) - lower, upper - gap(z))
+             for z in grid.points() for lower, upper in (i_envelope(z),))
+print(f"  a synthetic g {'stays inside' if inside > 0 else 'LEAVES'} "
+      f"log(1+z) < g(z) < -log(1-z) on {grid.count} grid points")
+print(f"  in [{grid.start}, {grid.end}] (smallest gap {inside:.3e}; on this grid only),")
 verdict = check_representable(gap)
-print(f"  a synthetic function inside the envelope is likewise {verdict.status}"
-      f" (witness z = {verdict.witness_z}).")
+print(f"  yet it is likewise {verdict.status} (witness z = {verdict.witness_z}).")

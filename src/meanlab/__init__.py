@@ -25,9 +25,8 @@ _EXPORTS = {
     "elliptic": ("ellip_k", "ellip_e", "ellip_k_prime", "agm_seiffert_prime",
                  "agm_coefficient", "agm_coefficient_ratio"),
     "harmonic": ("RepresentationVerdict", "PairCatalogEntry", "PAIR_CATALOG",
-                 "NON_REPRESENTABLE_IDS", "construct_candidate", "check_representable",
-                 "verify_identity", "log_envelope_check", "default_pairs",
-                 "make_envelope_gap_example"),
+                 "construct_candidate", "check_representable", "verify_identity",
+                 "log_envelope_check", "default_pairs", "make_envelope_gap_example"),
     "inequalities": ("ChainSpec", "ChainReport", "CHAIN_NAMES", "hh_bounds",
                      "hh_refined_lower", "envelope_lemma", "run_chain_suite",
                      "builtin_chain", "default_pair_grid"),

@@ -293,8 +293,7 @@ def probe_shape(fn: Callable[[float], float], grid: GridSpec) -> ShapeVerdict:
     values = [fn(x) for x in xs]
     convex_break: tuple[float, float, float] | None = None
     concave_break: tuple[float, float, float] | None = None
-    for (a, b), (fa, fb) in zip(pairwise(xs), pairwise(values)):
-        mid = 0.5 * (a + b)  # as `grid.midpoints()` forms it
+    for (a, b), mid, (fa, fb) in zip(pairwise(xs), grid.midpoints(), pairwise(values)):
         fmid = fn(mid)
         chord = 0.5 * (fa + fb)
         if math.isnan(fmid) or math.isnan(chord):

@@ -41,7 +41,6 @@ __all__ = [
     "RepresentationVerdict",
     "PairCatalogEntry",
     "PAIR_CATALOG",
-    "NON_REPRESENTABLE_IDS",
     "IdentityPointRecord",
     "IdentityReport",
     "EnvelopePointRecord",
@@ -107,14 +106,6 @@ PAIR_CATALOG: tuple[PairCatalogEntry, ...] = (
     PairCatalogEntry("AGM", "V", "hh-AGM-V", "forward",
                      "(2/pi) z K(z) = I((2/pi) z E(z)/(1-z^2))"),
 )
-
-#: The paper's two worked counterexamples: catalog means that admit no
-#: harmonic representation.  TANH fails the lower band bound near z = 1
-#: (derivative sech^2(1) ~ 0.41997 < 1/2); G fails the upper bound (its
-#: candidate z (1-z^2)^{-3/2} exceeds z/(1-z) for large z).  They are not
-#: the only ones: on the default grid `check_representable` also falsifies
-#: H, C, R, V, COSMEAN and COS2MEAN.
-NON_REPRESENTABLE_IDS: tuple[str, ...] = ("TANH", "G")
 
 
 def _derivative_of(m: SeiffertFunction) -> Callable[[float], float]:
@@ -221,7 +212,7 @@ def verify_identity(represented: str | MeanDescriptor,
 
         try:
             q = integrate(integrand, 0.0, 1.0)
-            dev1 = abs(m_desc.ordered(lo, hi) * q - 1.0)
+            dev1 = abs(m_desc(lo, hi) * q - 1.0)
             if z == 0.0:
                 dev2 = 0.0
                 note = "degenerate pair"
@@ -276,7 +267,7 @@ def log_envelope_check(mean: str | MeanDescriptor,
     for x, y in points:
         e, lo, hi = check_pair(x, y)  # the margin is taken at the decided pair
         z = half_spread(lo, hi)
-        value = desc.ordered(lo, hi)
+        value = desc(lo, hi)
         if z == 0.0:
             lower = upper = value
             margin = 0.0

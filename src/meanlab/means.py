@@ -63,10 +63,10 @@ class MeanDescriptor(Frozen):
     symmetric) and returns (e, lo/2^e, hi/2^e), with e = 0 inside the window
     [2^-500, 2^500] and the pair brought near 1 outside it.  A call decides its
     arguments, returns lo at a tie and calls `evaluator` otherwise, then
-    multiplies the value by 2^e if e is not 0; `ordered` is that core at a pair
-    already decided.  So an evaluator sees a pair near 1, unless its exponents
-    lie more than 1024 apart, and so does the pulled pair that `_pairs.deformed`
-    forms for a deformed mean or N^{1/2}.
+    multiplies the value by 2^e if e is not 0; a decided pair is decided again
+    unchanged, with e = 0.  So an evaluator sees a pair near 1, unless its
+    exponents lie more than 1024 apart, and so does the pulled pair that
+    `_pairs.deformed` forms for a deformed mean or N^{1/2}.
     `agm` and `v_mean` are catalog rows.
 
     Catalog means also know their Seiffert function's shape on (0, 1)
@@ -88,10 +88,6 @@ class MeanDescriptor(Frozen):
         set_field(self, "note", note)
         set_field(self, "shape", shape)
         set_field(self, "derivative", derivative)
-
-    def ordered(self, lo: float, hi: float) -> float:
-        """The mean at a decided pair, 0 < lo <= hi; checks nothing."""
-        return lo if lo == hi else self.evaluator(lo, hi)
 
     def __call__(self, x: float, y: float) -> float:
         e, lo, hi = check_pair(x, y)

@@ -402,9 +402,6 @@ class TestIOperatorOn:
         for z in (1e-6, 0.3, 0.5, 0.97):
             assert apply_i_operator(f, z) == integrate(integrand, 0.0, z)
 
-    def test_no_points(self):
-        assert calculus._i_operator_on_each((seiffert_of_mean("A"),), [])[0] == []
-
     def test_repeated_point(self):
         first, again, last = calculus._i_operator_on_each((seiffert_of_mean("L"),),
                                                           (0.4, 0.4, 0.6))[0]
@@ -555,8 +552,9 @@ class TestIOperatorOnEach:
         assert 3e-14 < row[0] < 6e-14
 
     def test_no_points(self):
+        # a catalog Seiffert function goes through its column form
         fs, calls = recording([math.sin, math.cos])
-        assert calculus._i_operator_on_each(fs, []) == [[], []]
+        assert calculus._i_operator_on_each([*fs, seiffert_of_mean("A")], []) == [[], [], []]
         assert calls == [[], []]
 
     def test_nan_valued_function(self):

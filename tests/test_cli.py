@@ -100,6 +100,12 @@ class TestSeiffertAndDeform:
         z, fz = lines[2].split()
         assert z == fz == "0.5"
 
+    def test_log_zgrid_lines(self, run_cli):
+        result = run_cli("seiffert", "--mean", "G", "--zgrid", "0.1:0.9:3:log")
+        assert result.returncode == 0
+        assert [line.split()[0] for line in result.stdout.splitlines()] == [
+            "0.1", "0.3", "0.9"]
+
     def test_malformed_grid(self, run_cli):
         result = run_cli("seiffert", "--mean", "A", "--zgrid", "0.1:0.9")
         assert result.returncode == 2
@@ -156,6 +162,17 @@ class TestHarmonic:
         payload = json.loads(result.stdout)
         assert payload["records"][0]["pass"] is False
         assert "falsified" in payload["records"][0]["detail"]
+
+    def test_check_text_names_the_witness(self, run_cli):
+        result = run_cli("harmonic", "check", "--mean", "TANH")
+        assert result.returncode == 1
+        assert "(status=falsified, witness z=0.999)" in result.stdout
+
+    def test_check_csv_pass_cell_of_a_failure(self, run_cli):
+        result = run_cli("harmonic", "check", "--mean", "TANH", "--format", "csv")
+        assert result.returncode == 1
+        header, row = result.stdout.splitlines()
+        assert header.endswith(",pass") and row.split(",")[-1] == "false"
 
     def test_construct_prints_candidate(self, run_cli):
         result = run_cli("harmonic", "construct", "--mean", "L",
@@ -341,6 +358,13 @@ class TestIneq:
         assert skipped["margin"] is None
         assert skipped["detail"] == "ZeroDivisionError: planted at (1, 3)"
 
+    def test_text_point_lines_have_no_empty_detail(self, run_cli):
+        result = run_cli("ineq", "run", "--chain", "hh-L-H", "--format", "text")
+        assert result.returncode == 0
+        points = [line for line in result.stdout.splitlines() if ":: point-" in line]
+        assert points and all(re.fullmatch(r"\[PASS\] ineq-hh-L-H :: point-\d{3} margin=\S+",
+                                           line) for line in points)
+
     def test_csv_output(self, run_cli):
         result = run_cli("ineq", "run", "--chain", "hh-T-C", "--format", "csv")
         assert result.returncode == 0
@@ -384,6 +408,16 @@ class TestPairFiles:
         assert result.stderr.startswith("meanlab: error:")
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("verb", sorted(PAIR_VERBS))
+    def test_empty_file_is_a_usage_error(self, tmp_path, verb, run_cli):
+        pair_file = tmp_path / "pairs.csv"
+        pair_file.write_bytes(b"")
+        result = run_cli(*PAIR_VERBS[verb], "--pairs", str(pair_file))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"meanlab: error: pair file {str(pair_file)!r} "
+                                 "needs the header 'x,y'\n")
 
     @pytest.mark.parametrize("verb", sorted(PAIR_VERBS))
     def test_header_only_file_is_a_usage_error(self, tmp_path, verb, run_cli):

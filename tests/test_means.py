@@ -111,7 +111,8 @@ class TestEvalMean:
         desc = get_mean(mean_id)
         for lo, hi in [(1.0, 3.0), (0.7, 0.7), (1e-3, 1e3), (0.5, 1.5), (2.0, 2.0000001)]:
             # bit for bit: equal hex forms
-            assert desc.ordered(lo, hi).hex() == desc(lo, hi).hex() == desc(hi, lo).hex()
+            core = lo if lo == hi else desc.evaluator(lo, hi)
+            assert core.hex() == desc(lo, hi).hex() == desc(hi, lo).hex()
 
     def test_catalog_has_all_named_means(self):
         expected = {"A", "G", "H", "C", "R", "L", "P", "T", "NS", "AGM", "V",
@@ -147,7 +148,7 @@ class TestEvalMean:
 
     @pytest.mark.parametrize("mean_id", ["AGM", "V"])
     def test_elliptic_evaluators_check_nothing(self, mean_id, check_pair_calls):
-        value = CATALOG[mean_id].ordered(1.0, 3.0)
+        value = CATALOG[mean_id].evaluator(1.0, 3.0)
         assert check_pair_calls == []
         assert value == eval_mean(mean_id, 3.0, 1.0)
 
@@ -387,6 +388,11 @@ class TestDeform:
         assert 1e308 < value < 1.7e308
         assert value == math.ldexp(deformed(math.ldexp(1e308, -1024),
                                             math.ldexp(1.7e308, -1024)), 1024)
+
+    def test_far_apart_pair_pulled_to_a_tie_outside_the_window(self):
+        # exponents over 1024 apart keep e = 0; at t = 1e-20 the pulled pair rounds
+        # to a tie at 5e299, past the window, where the tie rule gives the value
+        assert deform_mean("P", 1e-20)(1e-320, 1e300) == eval_mean("A", 1e-320, 1e300)
 
     def test_unit_deformation_is_the_row(self):
         for mean_id in MEAN_IDS:
