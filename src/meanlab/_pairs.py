@@ -76,7 +76,10 @@ def half_spread(lo: float, hi: float) -> float:
 
     A decided pair is near 1 or inside the window, or its hi dwarfs its lo, so
     hi + lo cannot overflow.  Pairs whose spread rounds up to 1 are clamped to
-    the largest double below 1.
+    the largest double below 1.  The evaluators of `means._from_spread`
+    (T NS SIN TAN SINH TANH), `means._scaled_arithmetic` (COSMEAN COS2MEAN
+    COSHMEAN) and V inline this rule, L and P the quotient alone; their bits are
+    tied to it by tests/test_means.py::TestRowsFormTheirHalfSpread.
     """
     z = (hi - lo) / (hi + lo)
     return MAX_HALF_SPREAD if z > MAX_HALF_SPREAD else z  # a NaN passes through

@@ -34,7 +34,8 @@ from functools import partial
 from math import ldexp
 
 from ._frozen import Frozen, set_field
-from ._pairs import check_modulus, check_pair, check_unit, deformed, half_spread
+from ._pairs import (MAX_HALF_SPREAD, check_modulus, check_pair, check_unit, deformed,
+                     half_spread)
 from .errors import DomainError, NonConvergenceError, SeiffertBoundError, UnknownMeanError
 
 __all__ = [
@@ -167,7 +168,7 @@ _LOG_MEAN_SERIES_CUTOFF = 1e-8
 
 
 def _logarithmic(lo: float, hi: float) -> float:
-    z = half_spread(lo, hi)
+    z = (hi - lo) / (hi + lo)  # half_spread's z, unclamped: only compared with the cutoff
     if z < _LOG_MEAN_SERIES_CUTOFF:
         return 0.5 * (lo + hi)
     d = hi - lo
@@ -176,7 +177,7 @@ def _logarithmic(lo: float, hi: float) -> float:
 
 
 def _first_seiffert(lo: float, hi: float) -> float:
-    z = half_spread(lo, hi)
+    z = (hi - lo) / (hi + lo)  # half_spread's z, unclamped: asin reads only z <= 0.7
     if z > 0.7:
         # arcsin is infinitely steep at 1, so evaluate the complement angle
         # from sqrt(1-z^2) = 2 sqrt(lo hi)/(lo+hi), which never cancels
@@ -229,7 +230,9 @@ def _agm_e(z: float) -> float:  # E(z) by the AGM with its correction sum: 0 <= 
 
 
 def _elliptic_harmonic(lo: float, hi: float) -> float:
-    return 0.5 * math.pi * _harmonic(lo, hi) / _agm_e(half_spread(lo, hi))
+    z = (hi - lo) / (hi + lo)  # half_spread, inline on the hot path
+    return (0.5 * math.pi * _harmonic(lo, hi)
+            / _agm_e(MAX_HALF_SPREAD if z > MAX_HALF_SPREAD else z))
 
 
 def v_seiffert_prime(z: float) -> float:
@@ -250,7 +253,9 @@ def v_seiffert_prime(z: float) -> float:
 def _from_spread(inv: Callable[[float], float]) -> Callable[[float, float], float]:
     # |x-y| / (2 g(z)) for the means defined through a function of z alone
     def evaluator(lo: float, hi: float) -> float:
-        return (hi - lo) / (2.0 * inv(half_spread(lo, hi)))
+        d = hi - lo
+        z = d / (hi + lo)  # half_spread, inline on the hot path
+        return d / (2.0 * inv(MAX_HALF_SPREAD if z > MAX_HALF_SPREAD else z))
 
     return evaluator
 
@@ -258,7 +263,9 @@ def _from_spread(inv: Callable[[float], float]) -> Callable[[float, float], floa
 def _scaled_arithmetic(shape: Callable[[float], float]) -> Callable[[float, float], float]:
     # A(x,y) * shape(z) for the trig/hyperbolic example means
     def evaluator(lo: float, hi: float) -> float:
-        return 0.5 * (lo + hi) * shape(half_spread(lo, hi))
+        s = lo + hi
+        z = (hi - lo) / s  # half_spread, inline on the hot path
+        return 0.5 * s * shape(MAX_HALF_SPREAD if z > MAX_HALF_SPREAD else z)
 
     return evaluator
 

@@ -4,9 +4,11 @@ A report is deterministic apart from its timestamp: records are ordered
 by check name (then insertion order), floats are serialized with repr
 precision, and the summary counts are derived from the records.  JSON has
 no infinities or NaN, so the JSON report writes those as the strings the
-CSV cell holds ("inf", "-inf", "nan").  The renderers import json and csv
-where they run, so a command that needs only FORMATS does not load them,
-and the timestamp comes from the built-in `time` module, not `datetime`.
+CSV cell holds ("inf", "-inf", "nan").  `to_json` writes the bytes of
+json.dumps(..., indent=2) itself, as json's encoder runs in pure Python under
+indent; json supplies only its C string escaper.  The renderers import json
+and csv where they run, so a command that needs only FORMATS does not load
+them, and the timestamp comes from the built-in `time` module, not `datetime`.
 """
 
 from __future__ import annotations
@@ -66,42 +68,45 @@ def build_report(records: list[CheckRecord]) -> ReportDocument:
     return ReportDocument(
         tool=TOOL_NAME,
         version=TOOL_VERSION,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),  # UTC, ISO 8601
+        # UTC, ISO 8601; a bare time.gmtime() reads C's time(), a tick behind the clock
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time())),
         records=ordered,
         summary={"pass": n_pass, "fail": len(ordered) - n_pass, "total": len(ordered)},
     )
 
 
 def to_json(doc: ReportDocument) -> str:
-    import json
-    payload = {
-        "tool": doc.tool,
-        "version": doc.version,
-        "timestamp": doc.timestamp,
-        "records": [
-            {
-                "check": r.check,
-                "name": r.name,
-                "x": _json_number(r.x),
-                "y": _json_number(r.y),
-                "z": _json_number(r.z),
-                "margin": _json_number(r.margin),
-                "pass": r.passed,
-                "detail": r.detail,
-            }
-            for r in doc.records
-        ],
-        "summary": doc.summary,
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The bytes of json.dumps(payload, indent=2, allow_nan=False) plus a newline, written
+    here one f-string per record: json's encoder would run in pure Python under indent."""
+    from json.encoder import encode_basestring_ascii as text  # the escaper of ensure_ascii
+    num = _json_number
+    records = ",\n".join(
+        f'    {{\n      "check": {text(r.check)},\n      "name": {text(r.name)},\n'
+        f'      "x": {num(r.x)},\n      "y": {num(r.y)},\n      "z": {num(r.z)},\n'
+        f'      "margin": {num(r.margin)},\n      "pass": {num(r.passed)},\n'
+        f'      "detail": {text(r.detail)}\n    }}' for r in doc.records)
+    records = f"[\n{records}\n  ]" if doc.records else "[]"
+    summary = ",\n".join(f"    {text(k)}: {num(v)}" for k, v in doc.summary.items())
+    summary = f"{{\n{summary}\n  }}" if doc.summary else "{}"
+    return (f'{{\n  "tool": {text(doc.tool)},\n  "version": {text(doc.version)},\n'
+            f'  "timestamp": {text(doc.timestamp)},\n  "records": {records},\n'
+            f'  "summary": {summary}\n}}\n')
 
 
 def _cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def _json_number(value: float | None) -> float | str | None:
-    return value if value is None or math.isfinite(value) else _cell(value)
+def _json_number(value: float | None) -> str:
+    """A number or bool field as json writes it, a non-finite float as its quoted CSV cell.
+    Bools are tested before ints, as True is an int."""
+    if value is None:
+        return "null"
+    if not math.isfinite(value):
+        return f'"{_cell(value)}"'
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return "true" if value is True else "false" if value is False else int.__repr__(value)
 
 
 def to_csv(doc: ReportDocument) -> str:

@@ -33,6 +33,7 @@ from meanlab import (
 from meanlab._frozen import set_field
 from meanlab._pairs import MAX_HALF_SPREAD, check_pair, half_spread
 from meanlab.harmonic import default_pairs
+from meanlab import means
 from meanlab.means import AGM_MAX_STEPS
 from meanlab.suite import check_roundtrip
 
@@ -228,6 +229,113 @@ class TestHalfSpread:
     def test_nan_passes_through(self):
         assert math.isnan(half_spread(math.nan, 1.0))
         assert math.isnan(half_spread(1.0, math.nan))
+
+
+def _reference_logarithmic(lo, hi):
+    z = half_spread(lo, hi)
+    if z < 1e-8:
+        return 0.5 * (lo + hi)
+    d = hi - lo
+    r = d / lo
+    return d / (math.log1p(r) if r < math.inf else math.log(hi) - math.log(lo))
+
+
+def _reference_first_seiffert(lo, hi):
+    z = half_spread(lo, hi)
+    if z > 0.7:
+        w = 2.0 * math.sqrt(lo) * math.sqrt(hi) / (lo + hi)
+        angle = 0.5 * math.pi - math.asin(w)
+    else:
+        angle = math.asin(z)
+    return (hi - lo) / (2.0 * angle)
+
+
+def _reference_from_spread(inv):
+    return lambda lo, hi: (hi - lo) / (2.0 * inv(half_spread(lo, hi)))
+
+
+def _reference_scaled_arithmetic(shape):
+    return lambda lo, hi: 0.5 * (lo + hi) * shape(half_spread(lo, hi))
+
+
+SCALED_SHAPES = {"COSMEAN": lambda z: 1.0 / math.cos(z), "COS2MEAN": lambda z: math.cos(z) ** 2,
+                 "COSHMEAN": lambda z: 1.0 / math.cosh(z)}
+
+#: Each row that forms its half-spread in its own frame, written with `half_spread`.
+HALF_SPREAD_ROWS = {
+    "L": _reference_logarithmic,
+    "P": _reference_first_seiffert,
+    "T": _reference_from_spread(math.atan),
+    "NS": _reference_from_spread(math.asinh),
+    "SIN": _reference_from_spread(math.sin),
+    "TAN": _reference_from_spread(math.tan),
+    "SINH": _reference_from_spread(math.sinh),
+    "TANH": _reference_from_spread(math.tanh),
+    **{mean_id: _reference_scaled_arithmetic(shape) for mean_id, shape in SCALED_SHAPES.items()},
+    "V": lambda lo, hi: (0.5 * math.pi * means._harmonic(lo, hi)
+                         / means._agm_e(half_spread(lo, hi))),
+}
+
+#: Decided pairs whose half-spread (hi - lo)/(hi + lo) rounds to 1, where the clamp acts.
+SPREAD_ONE_PAIRS = [(1e-20, 1.0), (5e-324, 1.0), (2.0 ** -60, 3.0), (1e-300, 1e300),
+                    (5e-324, 1e308), (1e-20, 1e-3)]
+
+
+def _decided_pairs(n=2_000, seed=34):
+    """n seeded pairs over all positive doubles, decided, ties dropped; half of them
+    at hi/lo up to 2^16, the rest up to 2^1100."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(n):
+        hi = 2.0 ** rng.uniform(-1074.0, 1024.0) * rng.uniform(0.5, 1.0)
+        lo = max(hi * 2.0 ** -rng.uniform(0.0, 16.0 if i % 2 else 1100.0), 5e-324)
+        _, lo, hi = check_pair(lo, hi)
+        if lo < hi:
+            pairs.append((lo, hi))
+    return pairs + SPREAD_ONE_PAIRS
+
+
+def _outcome(evaluator, lo, hi):
+    try:
+        return evaluator(lo, hi).hex()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestRowsFormTheirHalfSpread:
+    """The rows that form z = (hi - lo)/(hi + lo) in their own frame give the bits of
+    their formula written with `half_spread`, on decided pairs and where z rounds to 1."""
+
+    @pytest.mark.parametrize("mean_id", HALF_SPREAD_ROWS)
+    def test_same_bits_as_with_half_spread(self, mean_id):
+        evaluator, reference = CATALOG[mean_id].evaluator, HALF_SPREAD_ROWS[mean_id]
+        for lo, hi in _decided_pairs():
+            assert _outcome(evaluator, lo, hi) == _outcome(reference, lo, hi), (lo, hi)
+
+    def test_the_clamp_moves_sin_and_tan_and_saves_v(self):
+        # unclamped, z = 1.0 at (1e-20, 1): SIN and TAN move by 1-2 ulp, V's E loop
+        # never closes its gap
+        lo, hi = 1e-20, 1.0
+        assert (hi - lo) / (hi + lo) == 1.0
+        for mean_id, inv in (("SIN", math.sin), ("TAN", math.tan)):
+            unclamped = (hi - lo) / (2.0 * inv(1.0))
+            moved = abs(CATALOG[mean_id].evaluator(lo, hi) - unclamped) / math.ulp(unclamped)
+            assert moved in (1.0, 2.0)
+        with pytest.raises(NonConvergenceError):
+            means._agm_e(1.0)
+        assert math.isfinite(CATALOG["V"].evaluator(lo, hi))
+
+    def test_scaled_arithmetic_clamps(self):
+        # the three rows' shapes round to the same double at 1 and at MAX_HALF_SPREAD,
+        # so only a shape that tells the two apart shows the clamp of the form
+        for shape in SCALED_SHAPES.values():
+            assert shape(1.0) == shape(MAX_HALF_SPREAD)
+        evaluator = means._scaled_arithmetic(lambda z: z)
+        reference = _reference_scaled_arithmetic(lambda z: z)
+        for lo, hi in SPREAD_ONE_PAIRS:
+            assert (hi - lo) / (hi + lo) == 1.0
+            assert evaluator(lo, hi).hex() == reference(lo, hi).hex()
+            assert evaluator(lo, hi) < 0.5 * (lo + hi)
 
 
 class TestCheckPair:

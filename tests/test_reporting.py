@@ -6,10 +6,13 @@ import time
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanlab.reporting import (
     CSV_HEADER,
     CheckRecord,
+    ReportDocument,
     build_report,
     render_report,
     to_csv,
@@ -117,3 +120,50 @@ class TestRendering:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_report(build_report([]), "yaml")
+
+
+def json_dumps_report(doc):
+    """The report as json.dumps wrote it before `to_json` wrote the layout itself: the oracle."""
+    def number(value):
+        return value if value is None or math.isfinite(value) else repr(value)
+
+    payload = {
+        "tool": doc.tool,
+        "version": doc.version,
+        "timestamp": doc.timestamp,
+        "records": [
+            {"check": r.check, "name": r.name, "x": number(r.x), "y": number(r.y),
+             "z": number(r.z), "margin": number(r.margin), "pass": r.passed,
+             "detail": r.detail}
+            for r in doc.records
+        ],
+        "summary": doc.summary,
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+# characters of every category, and ones that JSON escapes, lone surrogates among them
+ESCAPED = '"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'
+texts = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(ESCAPED)),
+                max_size=12)
+numbers = st.one_of(
+    st.none(), st.integers(min_value=-2 ** 64, max_value=2 ** 64), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
+                     math.nan]))
+records = st.builds(CheckRecord, check=texts, name=texts, passed=st.booleans(), x=numbers,
+                    y=numbers, z=numbers, margin=numbers, detail=texts)
+documents = st.builds(ReportDocument, tool=texts, version=texts, timestamp=texts,
+                      records=st.lists(records, max_size=20).map(tuple),
+                      summary=st.dictionaries(texts, st.integers(), max_size=3))
+
+
+class TestJsonBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(documents)
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert to_json(doc) == json_dumps_report(doc)
+
+    @pytest.mark.parametrize("records", [[], [_rec(x=1.0, margin=math.nan, detail="d")]])
+    def test_built_reports(self, records):
+        doc = build_report(records)
+        assert to_json(doc) == json_dumps_report(doc)
