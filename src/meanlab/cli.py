@@ -8,8 +8,7 @@ inequality chains, and `suite --all` for the full reproduction suite.
 Check-style commands emit a report document (text, JSON or CSV) and exit
 0 only if every requested check passed; usage and domain errors exit 2
 with a diagnostic on stderr.  All floats print with 15 significant
-digits.  The MEANLAB_TOL environment variable overrides the default
-tolerance where a command accepts one.
+digits.  `--tol` sets the tolerance where a command accepts one.
 
 Each handler imports the library modules it runs, and `run_command` parses with the
 arguments of its verb only, so a process loads and builds only what its verb needs.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .errors import MeanLabError
@@ -74,20 +72,12 @@ def _parse_pairs(spec: str) -> list[tuple[float, float]] | None:
 
 
 def _default_tol(flag_value: float | None, fallback: float) -> float:
-    """--tol, else MEANLAB_TOL, else the fallback; either source must be finite and > 0."""
-    env = os.environ.get("MEANLAB_TOL")
-    if flag_value is not None:
-        value, source = flag_value, "--tol"
-    elif env:
-        try:
-            value, source = float(env), "MEANLAB_TOL"
-        except ValueError:
-            raise MeanLabError(f"MEANLAB_TOL={env!r} is not a number") from None
-    else:
+    """--tol, else the fallback; --tol must be finite and > 0."""
+    if flag_value is None:
         return fallback
-    if not (math.isfinite(value) and value > 0):
-        raise MeanLabError(f"{source} must be finite and positive, got {value!r}")
-    return value
+    if not (math.isfinite(flag_value) and flag_value > 0):
+        raise MeanLabError(f"--tol must be finite and positive, got {flag_value!r}")
+    return flag_value
 
 
 def _emit(text: str, out: str | None) -> None:
