@@ -20,8 +20,7 @@ _EXPORTS = {
               "seiffert_of_mean", "mean_of_seiffert", "deform_mean", "agm",
               "v_mean"),
     "_pairs": ("GridSpec",),
-    "calculus": ("ShapeVerdict", "integrate", "apply_i_operator", "i_envelope",
-                 "derivative_estimate", "probe_shape"),
+    "calculus": ("integrate", "apply_i_operator", "i_envelope", "derivative_estimate"),
     "elliptic": ("ellip_k", "ellip_e", "ellip_k_prime", "agm_seiffert_prime",
                  "agm_coefficient", "agm_coefficient_ratio"),
     "harmonic": ("RepresentationVerdict", "PairCatalogEntry", "PAIR_CATALOG",

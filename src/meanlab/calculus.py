@@ -1,4 +1,4 @@
-"""Adaptive quadrature, the integral operator I, and shape probing.
+"""Adaptive quadrature, the integral operator I, and finite differences.
 
 The operator I maps a function f on (0, 1) to
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import accumulate, pairwise
@@ -42,12 +41,10 @@ from .means import SeiffertFunction
 
 __all__ = [
     "GridSpec",
-    "ShapeVerdict",
     "integrate",
     "apply_i_operator",
     "i_envelope",
     "derivative_estimate",
-    "probe_shape",
 ]
 
 #: The 15-point Kronrod rule on [-1, 1] with its embedded 7-point Gauss rule,
@@ -72,19 +69,6 @@ QUADRATURE_TOL = 1e-11
 #: Panels one `integrate` call may evaluate (QUADPACK likewise caps its
 #: subintervals), so that an error sum stuck in rounding noise ends the work.
 MAX_PANELS = 10_000
-
-
-class ShapeVerdict(namedtuple("ShapeVerdict", "classification witness", defaults=(None,))):
-    """Outcome of a midpoint-convexity probe.
-
-    `classification` is one of "convex", "concave" or "neither"; a witness
-    triple (a, mid, b) where the midpoint test fails in both directions, or
-    the first where fn gives NaN, is attached only for "neither".  Data that
-    is affine within tolerance classifies as convex (the degenerate convex
-    case).  A verdict is a statement about the probed grid only, never a proof.
-    """
-
-    __slots__ = ()
 
 
 def _nodes(a: float, b: float) -> tuple[float, tuple[float, ...]]:
@@ -275,37 +259,3 @@ def derivative_estimate(g: Callable[[float], float], z: float,
     if fz - 2.0 * h > lo:
         return (3.0 * g(fz) - 4.0 * g(fz - h) + g(fz - 2.0 * h)) / (2.0 * h)
     raise DomainError("domain too tight for the finite-difference stencil")
-
-
-#: Absolute tie tolerance for the midpoint test: below quadrature noise,
-#: above rounding noise.
-SHAPE_TOLERANCE = 1e-12
-
-
-def probe_shape(fn: Callable[[float], float], grid: GridSpec) -> ShapeVerdict:
-    """Classify fn as convex/concave/neither by midpoint tests on a grid.
-
-    For every adjacent grid pair (a, b) the value fn((a+b)/2) is compared
-    with the chord midpoint (fn(a)+fn(b))/2.  This is falsification, not
-    proof: "convex" means no violation was found at this resolution.
-    """
-    xs = grid.points()
-    values = [fn(x) for x in xs]
-    convex_break: tuple[float, float, float] | None = None
-    concave_break: tuple[float, float, float] | None = None
-    for (a, b), mid, (fa, fb) in zip(pairwise(xs), grid.midpoints(), pairwise(values)):
-        fmid = fn(mid)
-        chord = 0.5 * (fa + fb)
-        if math.isnan(fmid) or math.isnan(chord):
-            return ShapeVerdict("neither", (a, mid, b))
-        if fmid > chord + SHAPE_TOLERANCE and convex_break is None:
-            convex_break = (a, mid, b)
-        if fmid < chord - SHAPE_TOLERANCE and concave_break is None:
-            concave_break = (a, mid, b)
-        if convex_break and concave_break:
-            break
-    if convex_break and concave_break:
-        return ShapeVerdict("neither", convex_break)
-    if convex_break:
-        return ShapeVerdict("concave")
-    return ShapeVerdict("convex")

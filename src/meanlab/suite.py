@@ -18,7 +18,6 @@ from .calculus import (
     _i_operator_on_each,
     derivative_estimate,
     i_envelope,
-    probe_shape,
 )
 from .harmonic import (
     PAIR_CATALOG,
@@ -241,15 +240,12 @@ def check_operator_properties() -> list[CheckRecord]:
 
     premise_zs = GridSpec(0.01, 0.99, 99).points()
     probe_zs = [0.1 * k for k in range(1, 10)]
-    probe_grid = GridSpec(0.01, 0.99, 41)
     # every point read below lies in (0, 1): the unchecked `func` and column forms
     seifferts = {mean_id: seiffert_of_mean(mean_id) for mean_id in MEAN_IDS}
     values = {mean_id: s.column(premise_zs) for mean_id, s in seifferts.items()}
-    # I of every mean at once, as running sums over every point read below
-    i_zs = sorted({1e-6, *probe_zs, *probe_grid.points(), *probe_grid.midpoints()})
-    i_tables = {mean_id: dict(zip(i_zs, row)) for mean_id, row
-                in zip(seifferts, _i_operator_on_each(seifferts.values(), i_zs))}
-    i_values = {mean_id: [table[z] for z in probe_zs] for mean_id, table in i_tables.items()}
+    # I of every mean at once, as running sums at 1e-6 and the probe points
+    i_rows = dict(zip(seifferts, _i_operator_on_each(seifferts.values(), [1e-6, *probe_zs])))
+    i_values = {mean_id: row[1:] for mean_id, row in i_rows.items()}
 
     mono_pairs = 0
     mono_gaps = [math.inf]  # the worst gap is inf when no pair is ordered
@@ -279,15 +275,20 @@ def check_operator_properties() -> list[CheckRecord]:
                                 env_margin > -slack, margin=env_margin,
                                 detail=f"worst envelope gap {env_margin:.3e}"))
 
-    vanish_dev = worst(max, [abs(table[1e-6]) for table in i_tables.values()])
+    # I(f)(z) = z + O(z^3) for every Seiffert function
+    vanish_dev = worst(max, [abs(row[0] - 1e-6) for row in i_rows.values()])
     records.append(CheckRecord.within("09-operator-properties", "I-vanishes-at-0",
-                                      vanish_dev, 2e-6,
-                                      f"max |I(f)(1e-6)| = {vanish_dev:.3e}"))
+                                      vanish_dev, slack,
+                                      f"max |I(f)(1e-6) - 1e-6| = {vanish_dev:.3e}"))
 
+    # I(f)' = f(z)/z, so I(f) is convex exactly where f/z is nondecreasing
+    shape_of = {(True, True): "affine", (True, False): "convex", (False, True): "concave"}
     for mean_id in MEAN_IDS:
         shape = CATALOG[mean_id].shape
         f = seifferts[mean_id].func
-        verdict = probe_shape(i_tables[mean_id].__getitem__, probe_grid)
+        slopes = list(map(operator.truediv, values[mean_id], premise_zs))
+        found = shape_of.get((all(map(operator.le, slopes, slopes[1:])),
+                              all(map(operator.ge, slopes, slopes[1:]))), "neither")
         gaps = []
         for z, value in zip(probe_zs, i_values[mean_id]):
             if shape == "concave":
@@ -295,15 +296,14 @@ def check_operator_properties() -> list[CheckRecord]:
             else:
                 gaps += value - z, f(z) - value
         sandwich = worst(min, gaps)
-        if shape == "affine":
-            shape_ok = abs(sandwich) <= slack  # I(f) = f = z up to quadrature
-        else:
-            shape_ok = verdict.classification == shape and sandwich > -slack
+        # I(f) = f = z up to quadrature when affine
+        shape_ok = found == shape and (abs(sandwich) <= slack if shape == "affine"
+                                       else sandwich > -slack)
         records.append(CheckRecord("09-operator-properties",
                                     f"shape-preserved-{mean_id}", shape_ok,
                                     margin=sandwich,
-                                    detail=f"expected {shape}, probe says "
-                                           f"{verdict.classification}"))
+                                    detail=f"expected {shape}, I' = f/z is {found} "
+                                           f"on {len(slopes)} points"))
     return records
 
 

@@ -1,4 +1,4 @@
-"""Quadrature, the integral operator, derivatives, and shape probing."""
+"""Quadrature, the integral operator, derivatives, and grids."""
 
 import functools
 import math
@@ -29,11 +29,11 @@ from meanlab import (
     ellip_e,
     i_envelope,
     integrate,
-    probe_shape,
     seiffert_of_mean,
 )
 from meanlab._frozen import set_field
 from meanlab.calculus import MAX_PANELS, QUADRATURE_TOL, _qk15
+from shapes import midpoint_shape
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -373,8 +373,8 @@ class TestIOperator:
     def test_shape_preservation(self, mean_id):
         f = seiffert_of_mean(mean_id)
         shape = CATALOG[mean_id].shape
-        verdict = probe_shape(lambda z: apply_i_operator(f, z), GridSpec(0.02, 0.98, 33))
-        assert verdict.classification == shape
+        grid = GridSpec(0.02, 0.98, 33)
+        assert midpoint_shape(lambda z: apply_i_operator(f, z), grid) == shape
         for z in (0.2, 0.5, 0.8):
             value = apply_i_operator(f, z)
             if shape == "convex":
@@ -415,9 +415,10 @@ class TestIOperatorOn:
 
     def test_operator_check_work(self):
         # check 09 evaluates each mean at its 99 premise points, at every node
-        # of I's 90 first panels and 6 refined ones, and at 9 probe points:
-        # 26,334 catalog evaluations, the same on every run.  A panel evaluated
-        # twice, or I of a mean run twice, moves the count.
+        # of I's 10 first panels (at 1e-6 and the 9 probe points) and 4 refined
+        # ones, and at the 9 probe points: 4,704 catalog evaluations, the same
+        # on every run.  A panel evaluated twice, or I of a mean run twice,
+        # moves the count.
         from meanlab.suite import check_operator_properties
 
         evals = 0
@@ -439,7 +440,38 @@ class TestIOperatorOn:
         finally:
             for desc, evaluator in originals.items():
                 set_field(desc, "evaluator", evaluator)
-        assert first == evals == 26_334
+        assert first == evals == 4_704
+
+    @pytest.mark.parametrize("mean_id, planted", [
+        (mean_id, planted) for mean_id in MEAN_IDS
+        for planted in ("affine", "convex", "concave") if planted != CATALOG[mean_id].shape])
+    def test_planted_wrong_shape_fails_the_operator_check(self, mean_id, planted):
+        # the shape comes from I' = f/z on the premise points, where affine data
+        # is affine only: A planted "convex" fails too
+        from meanlab.suite import check_operator_properties
+
+        row = CATALOG[mean_id]
+        shape = row.shape
+        set_field(row, "shape", planted)
+        try:
+            records = {r.name: r for r in check_operator_properties()}
+        finally:
+            set_field(row, "shape", shape)
+        assert not records[f"shape-preserved-{mean_id}"].passed
+
+    def test_planted_relative_error_fails_the_vanishing_limit(self):
+        # TANH x (1 + 1e-4) moves I(f)(1e-6) by about 1e-10: far inside
+        # |I(f)(1e-6)| <= 2e-6, outside |I(f)(1e-6) - 1e-6| <= 2e-11
+        from meanlab.suite import run_full_suite
+
+        row = CATALOG["TANH"]
+        evaluator = row.evaluator
+        set_field(row, "evaluator", lambda lo, hi: evaluator(lo, hi) * (1.0 + 1e-4))
+        try:
+            failed = [(r.check, r.name) for r in run_full_suite() if not r.passed]
+        finally:
+            set_field(row, "evaluator", evaluator)
+        assert failed == [("09-operator-properties", "I-vanishes-at-0")]
 
     def test_planted_nan_fails_the_operator_check(self, monkeypatch):
         # suite check 09 folded with min()/max(), which dropped a NaN unless it
@@ -464,10 +496,8 @@ class TestIOperatorOn:
 
 
 def check09_points():
-    """The 90 ascending points at which suite check 09 reads I."""
-    probe_grid = GridSpec(0.01, 0.99, 41)
-    return sorted({1e-6, *(0.1 * k for k in range(1, 10)), *probe_grid.points(),
-                   *probe_grid.midpoints()})
+    """The 10 ascending points at which suite check 09 reads I."""
+    return [1e-6, *(0.1 * k for k in range(1, 10))]
 
 
 def per_interval(fs, zs):
@@ -500,7 +530,7 @@ class TestIOperatorOnEach:
 
     def test_check09_rows_are_the_per_interval_sums(self):
         zs = check09_points()
-        assert len(zs) == 90
+        assert len(zs) == 10
         fs = [seiffert_of_mean(mean_id).func for mean_id in MEAN_IDS]
         shared, shared_calls = recording(fs)
         alone, alone_calls = recording(fs)
@@ -510,7 +540,7 @@ class TestIOperatorOnEach:
             assert bits(*row) == bits(*want), mean_id
         for mean_id, seen, want in zip(MEAN_IDS, shared_calls, alone_calls):
             assert sorted(seen) == sorted(want), mean_id
-        assert sum(map(len, shared_calls)) == 15 * (18 * 90 + 6)
+        assert sum(map(len, shared_calls)) == 15 * (18 * 10 + 4)
 
     def test_rejected_first_panel_is_refined_from_that_panel(self, monkeypatch):
         # f_H's integrand is 1/(1 - u^2), about 5e3 near 0.9999: both first
@@ -664,53 +694,7 @@ class TestDerivativeEstimate:
             derivative_estimate(math.sin, 0.5, domain=(0.5 - 1e-6, 0.5))
 
 
-class TestProbeShape:
-    def test_square_is_convex(self):
-        verdict = probe_shape(lambda u: u * u, GridSpec(0.001, 0.999, 101))
-        assert verdict.classification == "convex"
-        assert verdict.witness is None
-
-    def test_inverse_sqrt_is_convex(self):
-        verdict = probe_shape(lambda u: (1.0 - u * u) ** -0.5, GridSpec(0.001, 0.999, 101))
-        assert verdict.classification == "convex"
-
-    def test_cos_is_concave(self):
-        verdict = probe_shape(math.cos, GridSpec(0.001, 0.999, 101))
-        assert verdict.classification == "concave"
-
-    def test_mixed_curvature_is_neither_with_witness(self):
-        # 1/(1+u^2) flips curvature at 1/sqrt(3)
-        verdict = probe_shape(lambda u: 1.0 / (1.0 + u * u), GridSpec(0.001, 0.999, 101))
-        assert verdict.classification == "neither"
-        a, mid, b = verdict.witness
-        assert 0.0 < a < mid < b < 1.0
-
-    def test_curvature_flips_without_nan_is_neither(self):
-        # sin(20 u) is concave up to u = pi/20 and convex after it
-        verdict = probe_shape(lambda u: math.sin(20.0 * u), GridSpec(0.01, 0.99, 41))
-        assert verdict.classification == "neither"
-        a, _, b = verdict.witness
-        assert a == 0.01 and b == pytest.approx(0.0345)
-
-    def test_nan_is_neither_with_first_nan_triple(self):
-        grid = GridSpec(0.0, 1.0, 11)
-        verdict = probe_shape(lambda u: math.nan, grid)
-        assert verdict.classification == "neither"
-        assert verdict.witness == (0.0, 0.05, 0.1)
-        # convex where defined, NaN from u = 0.5 on: the triple (0.4, 0.45, 0.5)
-        verdict = probe_shape(lambda u: u * u if u < 0.5 else math.nan, grid)
-        assert verdict.classification == "neither"
-        a, _, b = verdict.witness
-        assert a == pytest.approx(0.4) and b == pytest.approx(0.5)
-
-    def test_affine_counts_as_convex(self):
-        verdict = probe_shape(lambda u: 2.0 * u + 1.0, GridSpec(0.0, 1.0, 51))
-        assert verdict.classification == "convex"
-
-    def test_log_spacing(self):
-        verdict = probe_shape(lambda u: u * u, GridSpec(1e-3, 0.9, 51, "log"))
-        assert verdict.classification == "convex"
-
+class TestGridSpec:
     @pytest.mark.parametrize("start, end, count", UNIFORM_GRIDS)
     def test_uniform_points_match_linspace(self, start, end, count):
         points = GridSpec(start, end, count).points()

@@ -28,11 +28,11 @@ from meanlab import (
     hh_bounds,
     hh_refined_lower,
     mean_of_seiffert,
-    probe_shape,
     run_chain_suite,
     seiffert_of_mean,
 )
 from meanlab import inequalities, suite
+from shapes import midpoint_shape
 
 
 class TestHHBounds:
@@ -405,8 +405,7 @@ class TestGenericSandwich:
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_convex_case(self, represented, representer):
         n = seiffert_of_mean(representer)
-        assert probe_shape(lambda u: n(u) / u, GridSpec(0.01, 0.99, 41)
-                           ).classification == "convex"
+        assert midpoint_shape(lambda u: n(u) / u, GridSpec(0.01, 0.99, 41)) == "convex"
         rebuilt = mean_of_seiffert(
             lambda z: apply_i_operator(n, z), mean_id=f"I-of-{representer}")
         for x, y in default_pairs(40, 1e-4, 0.999):
@@ -421,8 +420,7 @@ class TestGenericSandwich:
 
     def test_reversed_case_for_the_sine_pair(self):
         n = seiffert_of_mean("COSMEAN")
-        assert probe_shape(lambda u: n(u) / u, GridSpec(0.01, 0.99, 41)
-                           ).classification == "concave"
+        assert midpoint_shape(lambda u: n(u) / u, GridSpec(0.01, 0.99, 41)) == "concave"
         rebuilt = mean_of_seiffert(lambda z: apply_i_operator(n, z), mean_id="I-of-COSMEAN")
         for x, y in default_pairs(40, 1e-4, 0.999):
             lower, upper = hh_bounds("COSMEAN", x, y)  # swap roles when reversed
@@ -433,13 +431,11 @@ class TestGenericSandwich:
     @pytest.mark.parametrize("representer", ["C", "R"])
     def test_lemma_backed_pairs_are_not_convex(self, representer):
         n = seiffert_of_mean(representer)
-        verdict = probe_shape(lambda u: n(u) / u, GridSpec(0.01, 0.99, 99))
-        assert verdict.classification == "neither"
+        assert midpoint_shape(lambda u: n(u) / u, GridSpec(0.01, 0.99, 99)) == "neither"
 
     def test_v_ratio_is_convex(self):
         fn = (lambda z: 2.0 / math.pi * ellip_e(z) / ((1.0 - z) * (1.0 + z)))
-        verdict = probe_shape(fn, GridSpec(0.001, 0.95, 101))
-        assert verdict.classification == "convex"
+        assert midpoint_shape(fn, GridSpec(0.001, 0.95, 101)) == "convex"
 
 
 class TestPlantedNaNInSuiteChecks:

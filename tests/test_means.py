@@ -25,7 +25,6 @@ from meanlab import (
     eval_mean,
     get_mean,
     mean_of_seiffert,
-    probe_shape,
     relative_half_spread,
     seiffert_bounds,
     seiffert_of_mean,
@@ -36,6 +35,7 @@ from meanlab.harmonic import default_pairs
 from meanlab import means
 from meanlab.means import AGM_MAX_STEPS
 from meanlab.suite import check_roundtrip
+from shapes import midpoint_shape
 
 positive_args = st.floats(min_value=1e-6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -173,8 +173,8 @@ class TestCatalogRows:
     @pytest.mark.parametrize("mean_id", MEAN_IDS)
     def test_shape_matches_midpoint_probe(self, mean_id):
         shape = CATALOG[mean_id].shape
-        verdict = probe_shape(seiffert_of_mean(mean_id), GridSpec(0.01, 0.99, 41))
-        assert verdict.classification == ("convex" if shape == "affine" else shape)
+        verdict = midpoint_shape(seiffert_of_mean(mean_id), GridSpec(0.01, 0.99, 41))
+        assert verdict == ("convex" if shape == "affine" else shape)
 
     def test_agm_derivative_at_one_stops_at_the_step_cap(self):
         # the AGM of 1 and sqrt(1 - z^2) = 0 never closes its gap
