@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import pairwise
 from math import frexp, ldexp
 
 from ._frozen import Frozen, set_field
@@ -140,10 +139,6 @@ class GridSpec(Frozen):
             exponents = _uniform(math.log10(start), math.log10(end), self.count)
             return (start, *(10.0 ** e for e in exponents[1:-1]), end)
         return _uniform(start, end, self.count)
-
-    def midpoints(self) -> tuple[float, ...]:
-        """0.5 * (a + b) for each adjacent pair (a, b) of `points()`."""
-        return tuple(0.5 * (a + b) for a, b in pairwise(self.points()))
 
 
 def _uniform(start: float, end: float, count: int) -> tuple[float, ...]:

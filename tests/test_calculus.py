@@ -58,6 +58,13 @@ REFERENCE_QK15 = (
 )
 
 
+def qk15_nodes(a, b):
+    """The 15 nodes at which `_qk15` evaluates fn over [a, b], in its order."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    return [center, *(u for x, _, _ in REFERENCE_QK15[1:]
+                      for u in (center - half * x, center + half * x))]
+
+
 def reference_qk15(fn, a, b):
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -322,7 +329,8 @@ class TestIOperator:
             low, high = i_envelope(z)
             value = apply_i_operator(f, z)
             assert low - 2e-11 <= value <= high + 2e-11
-        assert abs(apply_i_operator(f, 1e-6)) <= 2e-6
+        # check 09's slack; over all 18 rows the worst gap is about 3e-19
+        assert abs(apply_i_operator(f, 1e-6) - 1e-6) <= 2e-11
 
     # Per call of I on a catalog Seiffert function: one 15-point panel where
     # it is smooth, a few hundred evaluations near the top end.
@@ -525,8 +533,8 @@ def recording(fs):
 
 
 class TestIOperatorOnEach:
-    """I of several functions over shared first-panel nodes: the rows and the
-    work of one `integrate` per interval."""
+    """I of several functions at ascending points: the rows and the work of one
+    `integrate` per interval."""
 
     def test_check09_rows_are_the_per_interval_sums(self):
         zs = check09_points()
@@ -542,20 +550,46 @@ class TestIOperatorOnEach:
             assert sorted(seen) == sorted(want), mean_id
         assert sum(map(len, shared_calls)) == 15 * (18 * 10 + 4)
 
-    def test_rejected_first_panel_is_refined_from_that_panel(self, monkeypatch):
+    def test_check09_rows_keep_their_values(self):
+        # rows pinned from the shared first-panel evaluation that preceded one
+        # `integrate` per interval
+        ids = ("H", "L", "AGM", "V", "TANH")
+        rows = calculus._i_operator_on_each([seiffert_of_mean(i) for i in ids],
+                                            check09_points())
+        assert dict(zip(ids, ([v.hex() for v in row] for row in rows))) == {
+            "H": ["0x1.0c6f7a0b5f3b3p-20", "0x1.9af93cd234412p-4", "0x1.9f323ecbf984cp-3",
+                  "0x1.3cf2b50617c96p-2", "0x1.b1d10670aae9ap-2", "0x1.193ea7aad030ap-1",
+                  "0x1.62e42fefa39f0p-1", "0x1.bc0ed0947fbeap-1", "0x1.193ea7aad030bp+0",
+                  "0x1.78e360604b32cp+0"],
+            "L": ["0x1.0c6f7a0b5ef99p-20", "0x1.9a0e87afe75bcp-4", "0x1.9b727c2ab104bp-3",
+                  "0x1.366059a7f64ecp-2", "0x1.a156d35c76549p-2", "0x1.07d8fd155f341p-1",
+                  "0x1.417520c5f6c01p-1", "0x1.7e99e9bd0af2cp-1", "0x1.c12be7b120303p-1",
+                  "0x1.06a3ef62b6faap+0"],
+            "AGM": ["0x1.0c6f7a0b5ef17p-20", "0x1.99f14718756bap-4", "0x1.9afbf0994b539p-3",
+                    "0x1.3593c90aa1fd0p-2", "0x1.9f61d475c3242p-2", "0x1.05d96014c3a3ep-1",
+                    "0x1.3dcada02f528bp-1", "0x1.784d2fa370ab8p-1", "0x1.b6b149aee106ep-1",
+                    "0x1.fbc334b69a68ap-1"],
+            "V": ["0x1.0c6f7a0b5f22ap-20", "0x1.9aa13a97d1196p-4", "0x1.9dca71efab6f8p-3",
+                  "0x1.3a7c443682c99p-2", "0x1.aba53e01a1c4bp-2", "0x1.12bc0e575cb66p-1",
+                  "0x1.5664eafba1b35p-1", "0x1.a51f34a51f065p-1", "0x1.0425a429d53f0p+0",
+                  "0x1.4e812a50fa43cp+0"],
+            "TANH": ["0x1.0c6f7a0b5eb80p-20", "0x1.99255ed09069fp-4", "0x1.97cbfd3271e02p-3",
+                     "0x1.30315339b55bep-2", "0x1.9295e51b6f897p-2", "0x1.f292ec8b3eea5p-2",
+                     "0x1.27dfd7d0b320ap-1", "0x1.54e663c553d57p-1", "0x1.8041c34e24133p-1",
+                     "0x1.a9e1f843583f2p-1"],
+        }
+
+    def test_rejected_first_panel_is_refined_from_that_panel(self):
         # f_H's integrand is 1/(1 - u^2), about 5e3 near 0.9999: both first
         # panels miss tol / 2 and are bisected, and no node is evaluated twice
         f = seiffert_of_mean("H").func
         zs = (0.5, 0.9999)
-        refined = []
-        refine = calculus._refine
-        monkeypatch.setattr(calculus, "_refine",
-                            lambda fn, a, b, *rest: refined.append((a, b)) or
-                            refine(fn, a, b, *rest))
         (shared,), (shared_calls,) = recording([f])
         (row,) = calculus._i_operator_on_each([shared], zs)
-        assert refined == [(0.0, 0.5), (0.5, 0.9999)]
-        monkeypatch.setattr(calculus, "_refine", refine)
+        for a, b in pairwise([0.0, *zs]):
+            mid = 0.5 * (a + b)
+            halves = qk15_nodes(a, mid) + qk15_nodes(mid, b)
+            assert set(qk15_nodes(a, b) + halves) <= set(shared_calls), (a, b)
         (alone,), (alone_calls,) = recording([f])
         assert bits(*row) == bits(*per_interval([alone], zs)[0])
         assert sorted(shared_calls) == sorted(alone_calls)
@@ -582,7 +616,6 @@ class TestIOperatorOnEach:
         assert 3e-14 < row[0] < 6e-14
 
     def test_no_points(self):
-        # a catalog Seiffert function goes through its column form
         fs, calls = recording([math.sin, math.cos])
         assert calculus._i_operator_on_each([*fs, seiffert_of_mean("A")], []) == [[], [], []]
         assert calls == [[], []]
@@ -603,10 +636,11 @@ class TestIOperatorOnEach:
 
 
 def check09_nodes():
-    """The first-panel nodes of check 09's I, and its 99 premise points."""
+    """Check 09's 99 premise points, where it reads each mean's column, and the
+    first-panel nodes of its I."""
     spans = pairwise([0.0, *check09_points()])
-    return [u for a, b in spans for u in calculus._nodes(a, b)[1]] + list(
-        GridSpec(0.01, 0.99, 99).points())
+    return [*GridSpec(0.01, 0.99, 99).points(),
+            *(u for a, b in spans for u in qk15_nodes(a, b))]
 
 
 def check08_points():
@@ -617,7 +651,7 @@ def check08_points():
 
 class TestColumnForm:
     """A catalog Seiffert function's column form is its `func` over a list, bit for
-    bit; I uses it where a function has one, and `func` point by point elsewhere."""
+    bit; checks 08 and 09 read it, and I calls `func` point by point."""
 
     # at z = 1e-17, 1 - z == 1 + z: the tie rule, not the evaluator, gives the value
     @pytest.mark.parametrize("mean_id", MEAN_IDS)
@@ -628,22 +662,17 @@ class TestColumnForm:
         f = seiffert_of_mean(mean_id)
         assert [v.hex() for v in f.column(zs)] == [f.func(z).hex() for z in zs]
 
-    def test_column_is_called_once_and_never_below_the_cutoff(self):
+    def test_i_calls_func_never_below_the_cutoff(self):
         f = seiffert_of_mean("L")
-        columns = []
 
         def column(zs):
-            columns.append(list(zs))
-            return f.column(zs)
+            raise AssertionError("I called the column form")
 
-        def func(u):
-            raise AssertionError("func called where the column form exists")
-
+        (func,), (seen,) = recording([f.func])
         zs = (3e-14, 0.5)
         (row,) = calculus._i_operator_on_each([SeiffertFunction(func, None, "L", column)], zs)
         assert bits(*row) == bits(*per_interval([f.func], zs)[0])
-        (seen,) = columns
-        low = [u for a, b in pairwise([0.0, *zs]) for u in calculus._nodes(a, b)[1]
+        low = [u for a, b in pairwise([0.0, *zs]) for u in qk15_nodes(a, b)
                if u < calculus.I_OPERATOR_CUTOFF]
         assert low and min(seen) >= calculus.I_OPERATOR_CUTOFF
         assert len(seen) + len(low) == 30
